@@ -208,9 +208,10 @@ def _config_meta(config: RunConfig) -> dict:
 
 
 def _verify_instance(args) -> dict:
-    index, seed, n, d, k, lam, n_absolute, engine_tags = args
+    index, seed, n, d, k, lam, n_absolute, engines = args
+    engines = ENGINES if engines is None else engines
     x, absolute_set, _ = make_instance(seed, n, d, n_absolute=n_absolute)
-    reference = ENGINES["ng"](x, absolute_set, k, lam).selected
+    reference = engines["ng"](x, absolute_set, k, lam).selected
     f_ref = objective_value(x, absolute_set, reference, lam)
     result = {
         "instance": index,
@@ -224,10 +225,10 @@ def _verify_instance(args) -> dict:
         "exact": True,
         "within_tolerance": True,
     }
-    for tag in engine_tags:
+    for tag, engine in engines.items():
         if tag == "ng":
             continue
-        selected = ENGINES[tag](x, absolute_set, k, lam).selected
+        selected = engine(x, absolute_set, k, lam).selected
         exact = selected == reference
         entry = {"exact": exact}
         if not exact:
@@ -246,35 +247,25 @@ def _verify_instance(args) -> dict:
 def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Report]:
     """Run all eight design engines on seeded instances and compare sets.
 
+    `engines` replaces the `ENGINES` table for this call (it must include
+    "ng"); such a table runs inline, as its entries need not be picklable.
     Exit status 0 when at least 95% of instances agree exactly and every
     mismatch stays within the relative objective tolerance.
     """
     if config.lam <= 0:
         raise ConfigError("lambda must be positive")
-    engine_tags = tuple(engines) if engines is not None else tuple(ENGINES)
-    if engines is not None:
-        # test fixture path: run inline with the supplied engine table
-        saved = dict(ENGINES)
-        ENGINES.update(engines)
-    try:
-        if config.single:
-            n = config.n or VERIFY_GRID[0][0]
-            d = config.d or VERIFY_GRID[0][1]
-            specs = [(0, config.seed, n, d, config.k, config.lam, config.n_absolute, engine_tags)]
-            workers = 1
-        else:
-            specs = []
-            for idx in range(config.instances):
-                n, d = VERIFY_GRID[idx % len(VERIFY_GRID)]
-                specs.append(
-                    (idx, config.seed + idx, n, d, VERIFY_K, config.lam, config.n_absolute, engine_tags)
-                )
-            workers = resolve_workers(config)
-        results = _pmap(_verify_instance, specs, workers if engines is None else 1)
-    finally:
-        if engines is not None:
-            ENGINES.clear()
-            ENGINES.update(saved)
+    if config.single:
+        n = config.n or VERIFY_GRID[0][0]
+        d = config.d or VERIFY_GRID[0][1]
+        specs = [(0, config.seed, n, d, config.k, config.lam, config.n_absolute, engines)]
+        workers = 1
+    else:
+        specs = []
+        for idx in range(config.instances):
+            n, d = VERIFY_GRID[idx % len(VERIFY_GRID)]
+            specs.append((idx, config.seed + idx, n, d, VERIFY_K, config.lam, config.n_absolute, engines))
+        workers = resolve_workers(config) if engines is None else 1
+    results = _pmap(_verify_instance, specs, workers)
 
     exact_count = sum(1 for r in results if r["exact"])
     tolerated = all(r["within_tolerance"] for r in results)

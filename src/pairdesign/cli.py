@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: select, verify, evaluate, bench. Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 I/O error.
+1 verification failure, 2 usage error, 3 I/O error, 4 any other library
+error (for example an instance too large for the fisher baseline).
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ import argparse
 import sys
 
 from . import bench, report
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, PairDesignError, ParseError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_ERROR = 4
 
 _SYNTHETIC_KEYS = {
     "n": ("n", int),
@@ -182,6 +184,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except PairDesignError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_USAGE
 
 

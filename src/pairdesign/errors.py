@@ -26,7 +26,7 @@ class EmptyHeap(PairDesignError):
 
 
 class StaleStampCorruption(PairDesignError):
-    """A heap entry claims a refresh time later than the current iteration."""
+    """A lazy-search entry claims a refresh time later than the current iteration."""
 
 
 class ParseError(PairDesignError):

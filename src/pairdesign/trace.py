@@ -15,10 +15,11 @@ class SelectionTrace:
     """Output of one engine run.
 
     Phase timings follow the complexity breakdown of the engines:
-    preprocessing (state setup, initial gains, heap build), per-iteration
-    find-max, and per-iteration update. Lazy engines additionally record how
-    many heap entries they refreshed per iteration, and the memoized modes
-    how many scratch vectors they actually computed.
+    preprocessing (state setup, initial gains), per-iteration find-max, and
+    per-iteration update. Lazy engines additionally record in `touch_counts`
+    how many stale entries they refreshed per iteration, over all refresh
+    blocks, and the memoized modes in `memo_counts` how many scratch entries
+    they actually computed.
     """
 
     variant: str

@@ -64,6 +64,8 @@ def test_verify_single_instance_passes():
 
 def test_verify_detects_corrupted_engine():
     def broken(x, absolute_set, k, lam, pool=None):
+        # the override table is passed along, never swapped into the registry
+        assert bench.ENGINES["sg"] is greedy.scalar_greedy
         trace = greedy.scalar_greedy(x, absolute_set, k, lam, pool=pool)
         trace.selected = list(reversed(trace.selected))
         return trace

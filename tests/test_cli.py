@@ -93,6 +93,17 @@ def test_io_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_library_errors_exit_4(capsys):
+    # 150 training samples give 11,175 candidate pairs, past fisher's guard
+    code = cli.main(
+        ["evaluate", "--algorithm", "fisher", "--synthetic", "n=200,d=10", "--k", "5",
+         "--folds", "1", "--workers", "1"]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_help_exits_zero():
     assert cli.main(["--help"]) == 0
 
