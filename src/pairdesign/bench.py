@@ -86,6 +86,10 @@ class RunConfig:
             raise ConfigError("either synthetic parameters (n, d) or --features are required")
         if self.features_csv is None and (self.n is None or self.d is None):
             raise ConfigError("synthetic datasets need both n and d")
+        if self.features_csv is None and (self.absolute_csv is not None or self.comparisons_csv is not None):
+            raise ConfigError("--absolute and --comparisons label a --features dataset; give --features")
+        if self.comparisons_csv is not None:
+            raise ConfigError("--comparisons is not supported yet: labelled comparisons are not folded into the design")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.fmt!r}")
 

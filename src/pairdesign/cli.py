@@ -51,7 +51,7 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--synthetic", metavar="KV", help="synthetic dataset, e.g. n=500,d=20,c-a=1.2")
     parser.add_argument("--features", metavar="CSV", help="feature matrix CSV (id,f0,...)")
     parser.add_argument("--absolute", metavar="CSV", help="absolute labels CSV (id,label)")
-    parser.add_argument("--comparisons", metavar="CSV", help="comparison labels CSV (i,j,label)")
+    parser.add_argument("--comparisons", metavar="CSV", help="comparison labels CSV (i,j,label); not supported yet, rejected")
 
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
@@ -113,10 +113,9 @@ def _build_config(args: argparse.Namespace) -> bench.RunConfig:
     if getattr(args, "synthetic", None) is not None:
         for field, value in _parse_synthetic(args.synthetic).items():
             setattr(config, field, value)
-    if getattr(args, "features", None) is not None:
-        config.features_csv = args.features
-        config.absolute_csv = getattr(args, "absolute", None)
-        config.comparisons_csv = getattr(args, "comparisons", None)
+    config.features_csv = getattr(args, "features", None)
+    config.absolute_csv = getattr(args, "absolute", None)
+    config.comparisons_csv = getattr(args, "comparisons", None)
     if getattr(args, "folds", None) is not None:
         config.folds = args.folds
     if getattr(args, "map_lambda", None) is not None:

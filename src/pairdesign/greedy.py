@@ -7,7 +7,11 @@ gains d_e = x_e^T A^-1 x_e are obtained each iteration:
 * factorization: factor A^-1 = U^T U once per iteration, map samples through
   U, then d_e = ||z_i - z_j||^2, O(N d^2 + N^2 d) per iteration;
 * scalar: compute all d_e once, then downdate each by (v.x_i - v.x_j)^2 per
-  iteration, O(N d + N^2) per iteration after an O(N^2 d) preprocessing.
+  iteration, O(N d + N^2) per iteration after an O(N^2 d) preprocessing,
+  plus the O(d^2) in-place downdate A^-1 -= v v^T that yields v.
+
+A^-1 is advanced by rank-one downdates only and never rebuilt mid-run;
+`design.refresh_state` rebuilds it from scratch outside the engines.
 
 Ties in d_e resolve to the lexicographically smallest pair: gains are laid
 out in lexicographic pair order and argmax returns the first maximum.
@@ -20,7 +24,7 @@ import time
 import numpy as np
 
 from . import linalg
-from .design import DesignState, Pair, comparison_feature, init_design, pair_arrays, refresh_state
+from .design import Pair, comparison_feature, init_design, pair_arrays
 from .trace import SelectionTrace
 
 # Pairs processed per block in the chunked quadratic-form sweep; bounds the
@@ -63,7 +67,6 @@ def _run_eager(
     k: int,
     lam: float,
     pool: list[Pair] | None,
-    refresh_every: int | None,
     record_gain_arrays: bool,
 ) -> SelectionTrace:
     n = x.shape[0]
@@ -87,7 +90,7 @@ def _run_eager(
     gain_arrays: list[np.ndarray] = []
     picked = np.zeros(len(pi), dtype=bool)
 
-    for it in range(k):
+    for _ in range(k):
         t1 = clock()
         if variant == "ng":
             d = quadratic_gains(x, pi, pj, state.ainv)
@@ -110,19 +113,11 @@ def _run_eager(
         t2 = clock()
         xe = comparison_feature(x, pair)
         if variant == "sg":
-            v = linalg.update_vector(state.ainv, xe)
-            z = x @ v
+            z = x @ linalg.scalar_downdate(state.ainv, xe)
             cached = cached - (z[pi] - z[pj]) ** 2
-            state.ainv = linalg.symmetrize(state.ainv - np.outer(v, v))
-            state.selected.append(pair)
         else:
             state.ainv = linalg.sherman_morrison_downdate(state.ainv, xe)
-            state.selected.append(pair)
-        if refresh_every and (it + 1) % refresh_every == 0:
-            refresh_state(state, x)
-            if variant == "sg":
-                u = linalg.gram_factor(state.ainv)
-                cached = factorization_gains(x @ u.T, pi, pj)
+        state.selected.append(pair)
         update_seconds.append(clock() - t2)
 
     return SelectionTrace(
@@ -137,21 +132,21 @@ def _run_eager(
 
 
 def naive_greedy(
-    x, absolute_set, k, lam, pool=None, refresh_every=None, record_gain_arrays=False
+    x, absolute_set, k, lam, pool=None, record_gain_arrays=False
 ) -> SelectionTrace:
     """Fresh quadratic form for every remaining pair, every iteration."""
-    return _run_eager("ng", x, absolute_set, k, lam, pool, refresh_every, record_gain_arrays)
+    return _run_eager("ng", x, absolute_set, k, lam, pool, record_gain_arrays)
 
 
 def factorization_greedy(
-    x, absolute_set, k, lam, pool=None, refresh_every=None, record_gain_arrays=False
+    x, absolute_set, k, lam, pool=None, record_gain_arrays=False
 ) -> SelectionTrace:
     """Per-iteration Cholesky factor of A^-1; gains as squared z-distances."""
-    return _run_eager("fg", x, absolute_set, k, lam, pool, refresh_every, record_gain_arrays)
+    return _run_eager("fg", x, absolute_set, k, lam, pool, record_gain_arrays)
 
 
 def scalar_greedy(
-    x, absolute_set, k, lam, pool=None, refresh_every=None, record_gain_arrays=False
+    x, absolute_set, k, lam, pool=None, record_gain_arrays=False
 ) -> SelectionTrace:
     """Gains computed once, then downdated by scalar differences per iteration."""
-    return _run_eager("sg", x, absolute_set, k, lam, pool, refresh_every, record_gain_arrays)
+    return _run_eager("sg", x, absolute_set, k, lam, pool, record_gain_arrays)

@@ -319,13 +319,11 @@ def _scalar_hooks(x, absolute_set, lam, pi, pj, k, mode) -> _Hooks:
         return gains0[b] - np.cumsum(diff, axis=0)[-1]
 
     def update(pair, it):
-        xe = comparison_feature(x, pair)
-        v = linalg.update_vector(state.ainv, xe)
+        v = linalg.scalar_downdate(state.ainv, comparison_feature(x, pair))
         if mode == "precompute":
             history.append_precomputed(v)
         else:
             history.append_lazy(v)
-        state.ainv = linalg.symmetrize(state.ainv - np.outer(v, v))
         state.selected.append(pair)
 
     return _Hooks(initial, refresh, update, _counter(history) if mode == "memoize" else None)

@@ -1,8 +1,13 @@
 """Dense SPD linear algebra kernels shared by every selection engine.
 
-All routines operate on plain numpy arrays. Matrices handed back to callers
-are explicitly symmetrized so that rank-one update chains do not accumulate
-asymmetric drift.
+All routines operate on plain numpy arrays. Every inverse the engines carry
+is exactly symmetric, bit for bit. `invert_spd` makes it so: the triangular
+solves do not return an exactly symmetric matrix, so their output is
+symmetrized. The rank-one downdates keep it so without help: entries (i, j)
+and (j, i) of v v^T are the same IEEE product v_i * v_j, and every further
+step is elementwise. Symmetrizing a downdate would change no bit, so the
+downdates skip it. `design.design_matrix` also symmetrizes, because the exact
+symmetry of `xa.T @ xa` depends on which BLAS routine numpy picks for it.
 """
 
 from __future__ import annotations
@@ -59,9 +64,15 @@ def _update_denominator(ainv: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, fl
 
 
 def sherman_morrison_downdate(ainv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Return (A + x x^T)^-1 given A^-1, via the Sherman-Morrison formula."""
+    """Return (A + x x^T)^-1 given A^-1, via the Sherman-Morrison formula.
+
+    `ainv` is left unchanged. The result is ainv - (ax ax^T) / denom, rounded
+    step for step as that expression but built in one scratch buffer.
+    """
     ax, denom = _update_denominator(ainv, x)
-    return symmetrize(ainv - np.outer(ax, ax) / denom)
+    out = np.multiply.outer(ax, ax)
+    out /= denom
+    return np.subtract(ainv, out, out=out)
 
 
 def update_vector(ainv: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -72,3 +83,10 @@ def update_vector(ainv: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     ax, denom = _update_denominator(ainv, x)
     return ax / np.sqrt(denom)
+
+
+def scalar_downdate(ainv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Advance `ainv` in place to (A + x x^T)^-1 = A^-1 - v v^T; return v."""
+    v = update_vector(ainv, x)
+    ainv -= np.multiply.outer(v, v)
+    return v

@@ -93,6 +93,34 @@ def test_io_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_comparisons_csv_is_rejected(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    data_io.write_features(tmp_path / "x.csv", rng.normal(size=(15, 3)))
+    data_io.write_comparisons(tmp_path / "c.csv", [((0, 1), 1), ((2, 5), -1)])
+    for command in ("select", "bench"):
+        code = cli.main(
+            [command, "--k", "3", "--features", str(tmp_path / "x.csv"),
+             "--comparisons", str(tmp_path / "c.csv"), "--workers", "1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--comparisons" in err
+
+
+def test_label_csvs_without_features_are_rejected(tmp_path, capsys):
+    data_io.write_absolute(tmp_path / "a.csv", [(0, 1), (3, -1)])
+    data_io.write_comparisons(tmp_path / "c.csv", [((0, 1), 1)])
+    for command in ("select", "evaluate", "bench"):
+        for flag, path in (("--absolute", "a.csv"), ("--comparisons", "c.csv")):
+            code = cli.main(
+                [command, "--k", "3", "--synthetic", "n=10,d=2", flag, str(tmp_path / path),
+                 "--workers", "1"]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--features" in err
+
+
 def test_library_errors_exit_4(capsys):
     # 150 training samples give 11,175 candidate pairs, past fisher's guard
     code = cli.main(

@@ -71,13 +71,6 @@ def test_scalar_drift_bounded():
     assert np.max(np.abs(cached[mask] - fresh[mask])) <= 1e-7
 
 
-def test_refresh_every_changes_nothing():
-    x, absolute_set = random_instance(4, n=30, d=6)
-    plain = greedy.scalar_greedy(x, absolute_set, 10, LAM)
-    refreshed = greedy.scalar_greedy(x, absolute_set, 10, LAM, refresh_every=3)
-    assert refreshed.selected == plain.selected
-
-
 def test_pool_restriction():
     x, absolute_set = random_instance(8, n=20, d=5)
     pool = [(0, 5), (2, 9), (1, 3), (4, 17), (10, 11)]

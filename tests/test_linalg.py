@@ -111,3 +111,35 @@ def test_degenerate_update_raises():
         linalg.sherman_morrison_downdate(-np.eye(3), np.ones(3) * 2.0)
     with pytest.raises(DegenerateUpdate):
         linalg.update_vector(-np.eye(3), np.ones(3) * 2.0)
+
+
+def _downdate_chain(d, steps=300):
+    """A start inverse from `invert_spd` and the vectors of a downdate chain."""
+    rng = np.random.default_rng(d)
+    return linalg.invert_spd(random_spd(rng, d)), rng.normal(size=(steps, d))
+
+
+@pytest.mark.parametrize("d", [1, 7, 48, 96])
+def test_sherman_morrison_chain_is_exactly_symmetric_and_matches_symmetrized_formula(d):
+    ainv, xs = _downdate_chain(d)
+    for x in xs:
+        before = ainv.copy()
+        ax = ainv @ x
+        expected = linalg.symmetrize(ainv - np.outer(ax, ax) / (1.0 + float(x @ ax)))
+        down = linalg.sherman_morrison_downdate(ainv, x)
+        assert np.array_equal(ainv, before)
+        assert np.array_equal(down, expected)
+        assert np.array_equal(down, down.T)
+        ainv = down
+
+
+@pytest.mark.parametrize("d", [1, 7, 48, 96])
+def test_scalar_downdate_chain_is_exactly_symmetric_and_matches_symmetrized_formula(d):
+    ainv, xs = _downdate_chain(d)
+    for x in xs:
+        v_expected = linalg.update_vector(ainv, x)
+        expected = linalg.symmetrize(ainv - np.outer(v_expected, v_expected))
+        v = linalg.scalar_downdate(ainv, x)
+        assert np.array_equal(v, v_expected)
+        assert np.array_equal(ainv, expected)
+        assert np.array_equal(ainv, ainv.T)
