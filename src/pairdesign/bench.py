@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -25,10 +26,10 @@ ENGINES = {
     "fg": greedy.factorization_greedy,
     "sg": greedy.scalar_greedy,
     "nl": lazy.naive_lazy,
-    "flp": lambda x, a, k, lam, pool=None: lazy.factorization_lazy(x, a, k, lam, pool, mode="precompute"),
-    "flm": lambda x, a, k, lam, pool=None: lazy.factorization_lazy(x, a, k, lam, pool, mode="memoize"),
-    "slp": lambda x, a, k, lam, pool=None: lazy.scalar_lazy(x, a, k, lam, pool, mode="precompute"),
-    "slm": lambda x, a, k, lam, pool=None: lazy.scalar_lazy(x, a, k, lam, pool, mode="memoize"),
+    "flp": partial(lazy.factorization_lazy, mode="precompute"),
+    "flm": partial(lazy.factorization_lazy, mode="memoize"),
+    "slp": partial(lazy.scalar_lazy, mode="precompute"),
+    "slm": partial(lazy.scalar_lazy, mode="memoize"),
 }
 BASELINES = ("entropy", "fisher", "random")
 ALGORITHMS = tuple(ENGINES) + BASELINES
@@ -147,45 +148,46 @@ def _trace_row(repeat: int, seed, trace: SelectionTrace, objective: float) -> di
     return row
 
 
+def _select(config, x, absolute_set, absolute_labels, pool, k, seed) -> SelectionTrace:
+    """Run `config.algorithm` for `k` pairs of `pool` (None: every pair).
+
+    Engines design around `absolute_set`; the entropy and fisher baselines
+    fit `absolute_labels`, and the random baseline draws from `seed`.
+    Baselines report no gains or timings.
+    """
+    if config.algorithm in ENGINES:
+        return ENGINES[config.algorithm](x, absolute_set, k, config.lam, pool=pool)
+    if pool is None:
+        pool = pair_universe(x.shape[0])
+    if config.algorithm == "random":
+        selected = model.random_select(pool, k, seed=seed)
+    else:
+        fit = model.map_fit(x, LabeledData(absolute=list(absolute_labels)), config.map_lambda)
+        select = model.entropy_select if config.algorithm == "entropy" else model.fisher_select
+        selected = select(x, fit.params.beta, k, pool)
+    return SelectionTrace(
+        variant=config.algorithm,
+        selected=selected,
+        gains=[],
+        preprocessing_seconds=0.0,
+        find_max_seconds=[],
+        update_seconds=[],
+    )
+
+
 def _selection_repeat(args) -> dict:
     config, repeat = args
     seed = (config.seed, repeat)
     if config.features_csv is not None:
         x, absolute_set, data = _load_csv_instance(config)
-        pool = None
-        abs_labels = data.absolute
+        absolute_labels = data.absolute
     else:
         x, absolute_set, sampler = make_instance(
             seed, config.n, config.d, config.sigma_x, config.sigma_beta, config.c_a, config.n_absolute
         )
-        pool = None
-        abs_labels = None
-
-    if config.algorithm in ENGINES:
-        trace = ENGINES[config.algorithm](x, absolute_set, config.k, config.lam, pool=pool)
-        selected = trace.selected
-    else:
-        if abs_labels is None:
-            abs_labels = sampler.absolute_labels(absolute_set)
-        if pool is None:
-            pool = pair_universe(x.shape[0])
-        if config.algorithm == "random":
-            selected = model.random_select(pool, config.k, seed=(config.seed, repeat, 7))
-        else:
-            fit = model.map_fit(x, LabeledData(absolute=abs_labels), config.map_lambda)
-            if config.algorithm == "entropy":
-                selected = model.entropy_select(x, fit.params.beta, config.k, pool)
-            else:
-                selected = model.fisher_select(x, fit.params.beta, config.k, pool)
-        trace = SelectionTrace(
-            variant=config.algorithm,
-            selected=selected,
-            gains=[],
-            preprocessing_seconds=0.0,
-            find_max_seconds=[],
-            update_seconds=[],
-        )
-    objective = objective_value(x, absolute_set, selected, config.lam)
+        absolute_labels = sampler.absolute_labels(absolute_set)
+    trace = _select(config, x, absolute_set, absolute_labels, None, config.k, (*seed, 7))
+    objective = objective_value(x, absolute_set, trace.selected, config.lam)
     return _trace_row(repeat, seed, trace, objective)
 
 
@@ -342,18 +344,6 @@ class _SyntheticLabels:
         ]
 
 
-def _select_for_evaluation(config, x, absolute_labels, pool, k, seed_parts):
-    if config.algorithm in ENGINES:
-        absolute_set = sorted(i for i, _ in absolute_labels)
-        return ENGINES[config.algorithm](x, absolute_set, k, config.lam, pool=pool).selected
-    if config.algorithm == "random":
-        return model.random_select(pool, k, seed=seed_parts)
-    fit = model.map_fit(x, LabeledData(absolute=list(absolute_labels)), config.map_lambda)
-    if config.algorithm == "entropy":
-        return model.entropy_select(x, fit.params.beta, k, pool)
-    return model.fisher_select(x, fit.params.beta, k, pool)
-
-
 def _evaluation_repeat(args) -> list[dict]:
     config, repeat = args
     x, beta_true, _ = model.sample_synthetic(
@@ -376,9 +366,9 @@ def _evaluation_repeat(args) -> list[dict]:
             for b in range(a + 1, len(train_sorted))
         ]
         k = min(config.k, len(pool))
-        selected = _select_for_evaluation(
-            config, x, absolute_labels, pool, k, (config.seed, repeat, fold_idx, 7)
-        )
+        selected = _select(
+            config, x, absolute_set, absolute_labels, pool, k, (config.seed, repeat, fold_idx, 7)
+        ).selected
         revealed = labels.comparisons(selected)
         fit = model.map_fit(x, LabeledData(absolute_labels, revealed), config.map_lambda)
         beta = fit.params.beta

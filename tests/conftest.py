@@ -16,6 +16,15 @@ def random_instance(seed: int, n: int, d: int, n_absolute: int = 5):
     return x, absolute_set
 
 
+def duplicate_row_instance(seed):
+    """Small-integer features with several exact copies of rows 3 and 7."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(30, 4)).astype(float)
+    x[[5, 12, 21]] = x[3]
+    x[[8, 26]] = x[7]
+    return x, sorted(rng.choice(30, size=5, replace=False).tolist())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -129,15 +129,16 @@ def test_criterion_04_scalar_update_drift(capsys):
     # random updates (seed 17), adapted via the rho history
     x2, absolute2 = random_instance(17, n=200, d=20)
     state2 = design.init_design(x2, absolute2, LAM)
-    history = lazy.RhoHistory(x2, 50)
+    history = greedy.ScalarOracle(x2, absolute2, LAM, pi, pj, 50, "precompute")
     rng = np.random.default_rng(17)
     probes = [tuple(sorted(rng.choice(200, 2, replace=False).tolist())) for _ in range(40)]
     stale = {e: design.proxy_gain(state2, x2, e) for e in probes}
-    for _ in range(50):
+    for it in range(50):
         i, j = sorted(rng.choice(200, 2, replace=False).tolist())
         xe = design.comparison_feature(x2, (int(i), int(j)))
         v = linalg.update_vector(state2.ainv, xe)
-        history.append_precomputed(v)
+        history.update((int(i), int(j)), it)
+        assert np.array_equal(history.rho[it], x2 @ v)
         state2.ainv = linalg.symmetrize(state2.ainv - np.outer(v, v))
     lazy_drift = 0.0
     for (i, j), g0 in stale.items():

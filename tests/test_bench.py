@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from pairdesign import bench, greedy
+from pairdesign import bench, design, greedy
 from pairdesign.errors import ConfigError
+
+from conftest import duplicate_row_instance, random_instance
 
 
 def small_verify_config(**kwargs):
@@ -125,3 +127,24 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.delenv(bench.WORKERS_ENV)
     config.workers = None
     assert bench.resolve_workers(config) >= 1
+
+
+@pytest.mark.parametrize("tag", sorted(bench.ENGINES))
+def test_engines_reject_malformed_pools(tag):
+    x, absolute_set = random_instance(2, n=12, d=3)
+    engine = bench.ENGINES[tag]
+    for pool in ([(0, 1), (0, 1)], [(0, 1), (3, 3)], [(0, 1), (5, 2)], [(0, 1), (-1, 3)], [(0, 1), (4, 12)]):
+        with pytest.raises(ValueError):
+            engine(x, absolute_set, 1, 1e-4, pool=pool)
+    assert engine(x, absolute_set, 2, 1e-4, pool=[(4, 11), (0, 1), (2, 3)]).selected[0] in {(0, 1), (2, 3), (4, 11)}
+
+
+def test_engines_reach_the_naive_objective_on_tied_instances():
+    # integer features with duplicate rows tie gains exactly; engines that
+    # round a tie differently may pick another pair, but never a worse set
+    for seed in range(40):
+        x, absolute_set = duplicate_row_instance(seed)
+        f_ng = design.objective_value(x, absolute_set, bench.ENGINES["ng"](x, absolute_set, 10, 1e-4).selected, 1e-4)
+        for tag, engine in bench.ENGINES.items():
+            f = design.objective_value(x, absolute_set, engine(x, absolute_set, 10, 1e-4).selected, 1e-4)
+            assert abs(f - f_ng) <= bench.EQUIVALENCE_RTOL * abs(f_ng), (seed, tag)

@@ -5,7 +5,7 @@ from pairdesign import bench, design, greedy, lazy, linalg
 from pairdesign.errors import StaleStampCorruption
 from pairdesign.heap import HeapEntry, LazyHeap, beats
 
-from conftest import random_instance
+from conftest import duplicate_row_instance, random_instance
 
 LAM = 1e-4
 
@@ -18,12 +18,12 @@ ENGINES = {
 }
 
 # The same gain oracles, for driving by the reference heap search below.
-HOOKS = {
-    "nl": lambda x, a, k, pi, pj: lazy._naive_hooks(x, a, LAM, pi, pj),
-    "flp": lambda x, a, k, pi, pj: lazy._factorization_hooks(x, a, LAM, pi, pj, "precompute"),
-    "flm": lambda x, a, k, pi, pj: lazy._factorization_hooks(x, a, LAM, pi, pj, "memoize"),
-    "slp": lambda x, a, k, pi, pj: lazy._scalar_hooks(x, a, LAM, pi, pj, k, "precompute"),
-    "slm": lambda x, a, k, pi, pj: lazy._scalar_hooks(x, a, LAM, pi, pj, k, "memoize"),
+ORACLES = {
+    "nl": lambda x, a, k, pi, pj: greedy.NaiveOracle(x, a, LAM, pi, pj),
+    "flp": lambda x, a, k, pi, pj: greedy.FactorizationOracle(x, a, LAM, pi, pj, "precompute"),
+    "flm": lambda x, a, k, pi, pj: greedy.FactorizationOracle(x, a, LAM, pi, pj, "memoize"),
+    "slp": lambda x, a, k, pi, pj: greedy.ScalarOracle(x, a, LAM, pi, pj, k, "precompute"),
+    "slm": lambda x, a, k, pi, pj: greedy.ScalarOracle(x, a, LAM, pi, pj, k, "memoize"),
 }
 
 
@@ -35,15 +35,15 @@ def heap_search(tag, x, absolute_set, k, pool=None):
     Returns the selected pairs and the refresh count per pick.
     """
     pi, pj = greedy._resolve_pool(x.shape[0], pool)
-    hooks = HOOKS[tag](x, absolute_set, k, pi, pj)
+    oracle = ORACLES[tag](x, absolute_set, k, pi, pj)
     index = {(int(i), int(j)): e for e, (i, j) in enumerate(zip(pi, pj))}
-    heap = LazyHeap(HeapEntry(float(g), 0, pair) for g, pair in zip(hooks.initial(), index))
+    heap = LazyHeap(HeapEntry(float(g), 0, pair) for g, pair in zip(oracle.initial(), index))
     selected, touches = [], []
     for it in range(k):
         count = 0
         entry = heap.extract_max()
         while entry.stamp < it:
-            gain = hooks.refresh(np.array([index[entry.pair]]), it)
+            gain = oracle.refresh(np.array([index[entry.pair]]), it)
             fresh = HeapEntry(float(gain[0]), it, entry.pair)
             count += 1
             if heap.size == 0 or beats(fresh, heap.peek()):
@@ -52,7 +52,7 @@ def heap_search(tag, x, absolute_set, k, pool=None):
             entry = heap.replace_top(fresh)
         selected.append(entry.pair)
         touches.append(count)
-        hooks.update(entry.pair, it)
+        oracle.update(entry.pair, it)
     return selected, touches
 
 
@@ -62,15 +62,6 @@ def assert_matches_heap_oracle(x, absolute_set, k, pool=None):
         selected, touches = heap_search(tag, x, absolute_set, k, pool)
         assert trace.selected == selected, tag
         assert trace.touch_counts[0] == touches[0] == 0, tag
-
-
-def duplicate_row_instance(seed):
-    """Small-integer features with several exact copies of rows 3 and 7."""
-    rng = np.random.default_rng(seed)
-    x = rng.integers(-2, 3, size=(30, 4)).astype(float)
-    x[[5, 12, 21]] = x[3]
-    x[[8, 26]] = x[7]
-    return x, sorted(rng.choice(30, size=5, replace=False).tolist())
 
 
 def test_lazy_engines_match_eager():
@@ -113,15 +104,17 @@ def test_scalar_stale_adaptation_matches_fresh_gain():
     # agree with a from-scratch quadratic form after many updates
     x, absolute_set = random_instance(17, n=60, d=10)
     state = design.init_design(x, absolute_set, LAM)
-    history = lazy.RhoHistory(x, 50)
+    pi, pj = design.pair_arrays(60)
+    history = greedy.ScalarOracle(x, absolute_set, LAM, pi, pj, 50, "precompute")
     probes = [(0, 1), (5, 30), (12, 44), (2, 59)]
     stale = {e: design.proxy_gain(state, x, e) for e in probes}
     rng = np.random.default_rng(17)
-    for _ in range(50):
+    for it in range(50):
         i, j = sorted(rng.choice(60, size=2, replace=False).tolist())
         xe = design.comparison_feature(x, (int(i), int(j)))
         v = linalg.update_vector(state.ainv, xe)
-        history.append_precomputed(v)
+        history.update((int(i), int(j)), it)
+        assert np.array_equal(history.rho[it], x @ v)
         state.ainv = linalg.symmetrize(state.ainv - np.outer(v, v))
     for e in probes:
         i, j = e
@@ -132,14 +125,14 @@ def test_scalar_stale_adaptation_matches_fresh_gain():
 
 
 def test_rho_history_lazy_fill_matches_precomputed():
-    x, _ = random_instance(23, n=20, d=5)
-    rng = np.random.default_rng(23)
-    vs = [rng.normal(size=5) for _ in range(4)]
-    pre = lazy.RhoHistory(x, 4)
-    lzy = lazy.RhoHistory(x, 4)
-    for v in vs:
-        pre.append_precomputed(v)
-        lzy.append_lazy(v)
+    x, absolute_set = random_instance(23, n=20, d=5)
+    pi, pj = design.pair_arrays(20)
+    pre = greedy.ScalarOracle(x, absolute_set, LAM, pi, pj, 4, "precompute")
+    lzy = greedy.ScalarOracle(x, absolute_set, LAM, pi, pj, 4, "memoize")
+    for it, pair in enumerate([(0, 7), (3, 19), (5, 11), (2, 9)]):
+        pre.update(pair, it)
+        lzy.update(pair, it)
+    assert lzy.computed == 0
     samples = np.array([0, 7, 19, 7])
     lzy.fill(samples, 4)
     assert np.allclose(lzy.rho[:4, samples], pre.rho[:4, samples], rtol=1e-14)
@@ -186,7 +179,7 @@ def test_array_search_matches_heap_oracle_on_duplicate_rows():
         x, absolute_set = duplicate_row_instance(seed)
         # copies of a row give bitwise-equal gains against every other sample
         pi, pj = np.array([3, 5, 12]), np.array([9, 9, 9])
-        assert len(set(HOOKS["flp"](x, absolute_set, 1, pi, pj).initial().tolist())) == 1
+        assert len(set(ORACLES["flp"](x, absolute_set, 1, pi, pj).initial().tolist())) == 1
         ainv = design.init_design(x, absolute_set, LAM).ainv
         assert len(set(greedy.quadratic_gains(x, pi, pj, ainv).tolist())) == 1
         assert_matches_heap_oracle(x, absolute_set, 12)
@@ -200,7 +193,7 @@ def test_array_search_matches_heap_oracle_when_ties_straddle_the_block():
     x[0] = 10.0
     x[21:] = 0.1 * rng.uniform(-1.0, 1.0, size=(9, 5)) + 0.5
     pi, pj = design.pair_arrays(30)
-    gains0 = HOOKS["flp"](x, [], 1, pi, pj).initial()
+    gains0 = ORACLES["flp"](x, [], 1, pi, pj).initial()
     assert np.count_nonzero(gains0 == gains0.max()) > lazy._MIN_BLOCK
     assert_matches_heap_oracle(x, [], 12)
     assert_matches_heap_oracle(x, [21, 25], 12)
