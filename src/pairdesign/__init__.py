@@ -7,7 +7,6 @@ from .design import (
     init_design,
     marginal_gain_exact,
     objective_value,
-    pair_universe,
     proxy_gain,
 )
 from .greedy import factorization_greedy, naive_greedy, scalar_greedy
@@ -49,7 +48,6 @@ __all__ = [
     "naive_greedy",
     "naive_lazy",
     "objective_value",
-    "pair_universe",
     "proxy_gain",
     "random_select",
     "run_bench",

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
+from scipy.special import expit
 
 from . import greedy, lazy, model, report
-from .design import Pair, objective_value, pair_universe
+from .design import Pair, objective_value, pair_arrays
 from .errors import ConfigError
 from .model import LabeledData
 from .trace import SelectionTrace
@@ -149,7 +150,7 @@ def _trace_row(repeat: int, seed, trace: SelectionTrace, objective: float) -> di
 
 
 def _select(config, x, absolute_set, absolute_labels, pool, k, seed) -> SelectionTrace:
-    """Run `config.algorithm` for `k` pairs of `pool` (None: every pair).
+    """Run `config.algorithm` for `k` pairs of `pool` (see `greedy.resolve_pool`).
 
     Engines design around `absolute_set`; the entropy and fisher baselines
     fit `absolute_labels`, and the random baseline draws from `seed`.
@@ -157,9 +158,10 @@ def _select(config, x, absolute_set, absolute_labels, pool, k, seed) -> Selectio
     """
     if config.algorithm in ENGINES:
         return ENGINES[config.algorithm](x, absolute_set, k, config.lam, pool=pool)
-    if pool is None:
-        pool = pair_universe(x.shape[0])
     if config.algorithm == "random":
+        # the random baseline reads no samples, so it is given the universe
+        if pool is None:
+            pool = np.column_stack(pair_arrays(x.shape[0]))
         selected = model.random_select(pool, k, seed=seed)
     else:
         fit = model.map_fit(x, LabeledData(absolute=list(absolute_labels)), config.map_lambda)
@@ -301,10 +303,6 @@ def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Rep
     return (0 if passed else 1), rep
 
 
-def _pair_index(i: int, j: int, n: int) -> int:
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 class _SyntheticLabels:
     """Repeat-level label table: each label is a pure function of its index.
 
@@ -323,25 +321,24 @@ class _SyntheticLabels:
         self._u_cmp = rng.random(n * (n - 1) // 2)
 
     def absolute(self, indices) -> list[tuple[int, int]]:
-        from scipy.special import expit
-
         idx = np.asarray(list(indices), dtype=np.intp)
         p = expit(self._x[idx] @ (self._beta / self._c_a))
         return [(int(i), 1 if self._u_abs[i] < pi else -1) for i, pi in zip(idx, p)]
 
-    def comparisons(self, pairs) -> list[tuple[Pair, int]]:
-        from scipy.special import expit
+    def comparisons(self, i: np.ndarray, j: np.ndarray) -> list[tuple[Pair, int]]:
+        """Labels of the pairs (i[e], j[e]), each with i[e] < j[e]."""
+        p = expit((self._x[i] - self._x[j]) @ self._beta)
+        # position of (i, j) in the lexicographic pair universe
+        lin = i * (2 * self._n - i - 1) // 2 + (j - i - 1)
+        y = np.where(self._u_cmp[lin] < p, 1, -1)
+        return list(zip(zip(i.tolist(), j.tolist()), y.tolist()))
 
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        arr = np.asarray(pairs, dtype=np.intp)
-        p = expit((self._x[arr[:, 0]] - self._x[arr[:, 1]]) @ self._beta)
-        lin = [_pair_index(i, j, self._n) for i, j in pairs]
-        return [
-            ((int(i), int(j)), 1 if self._u_cmp[l] < pi else -1)
-            for (i, j), l, pi in zip(pairs, lin, p)
-        ]
+
+def _pairs_within(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (I, J) of every pair of `samples`, lexicographic order."""
+    samples = np.sort(samples)
+    a, b = np.triu_indices(len(samples), k=1)
+    return samples[a], samples[b]
 
 
 def _evaluation_repeat(args) -> list[dict]:
@@ -355,29 +352,22 @@ def _evaluation_repeat(args) -> list[dict]:
     folds = np.array_split(perm, config.folds) if config.folds > 1 else [perm[: x.shape[0] // 4]]
     rows = []
     for fold_idx, test_idx in enumerate(folds):
-        test = set(int(i) for i in test_idx)
-        train = [int(i) for i in perm if int(i) not in test]
-        absolute_set = sorted(train[: config.n_absolute])
+        train = perm[~np.isin(perm, test_idx)]
+        absolute_set = sorted(train[: config.n_absolute].tolist())
         absolute_labels = labels.absolute(absolute_set)
-        train_sorted = sorted(train)
-        pool = [
-            (train_sorted[a], train_sorted[b])
-            for a in range(len(train_sorted))
-            for b in range(a + 1, len(train_sorted))
-        ]
+        pool = np.column_stack(_pairs_within(train))
         k = min(config.k, len(pool))
         selected = _select(
             config, x, absolute_set, absolute_labels, pool, k, (config.seed, repeat, fold_idx, 7)
         ).selected
-        revealed = labels.comparisons(selected)
+        revealed = labels.comparisons(*np.asarray(selected, dtype=np.intp).reshape(-1, 2).T)
         fit = model.map_fit(x, LabeledData(absolute_labels, revealed), config.map_lambda)
         beta = fit.params.beta
 
-        test_sorted = sorted(test)
-        test_pairs = [(i, j) for a, i in enumerate(test_sorted) for j in test_sorted[a + 1:]]
-        cmp_labels = labels.comparisons(test_pairs)
+        cmp_labels = labels.comparisons(*_pairs_within(test_idx))
+        # one dot product per pair: a matrix-vector product may round differently
         cmp_scores = [float(beta @ (x[i] - x[j])) for (i, j), _ in cmp_labels]
-        abs_labels = labels.absolute(test_sorted)
+        abs_labels = labels.absolute(np.sort(test_idx))
         abs_scores = [float(beta @ x[i]) for i, _ in abs_labels]
         row = {
             "repeat": repeat,

@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: select, verify, evaluate, bench. Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 I/O error, 4 any other library
-error (for example an instance too large for the fisher baseline).
+1 verification failure, 2 usage error (for example k above the candidate
+pool), 3 I/O error, 4 any other library error (for example an instance too
+large for the fisher baseline).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import bench, report
@@ -49,9 +51,9 @@ def _parse_synthetic(text: str) -> dict:
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--synthetic", metavar="KV", help="synthetic dataset, e.g. n=500,d=20,c-a=1.2")
-    parser.add_argument("--features", metavar="CSV", help="feature matrix CSV (id,f0,...)")
-    parser.add_argument("--absolute", metavar="CSV", help="absolute labels CSV (id,label)")
-    parser.add_argument("--comparisons", metavar="CSV", help="comparison labels CSV (i,j,label); not supported yet, rejected")
+    parser.add_argument("--features", dest="features_csv", metavar="CSV", help="feature matrix CSV (id,f0,...)")
+    parser.add_argument("--absolute", dest="absolute_csv", metavar="CSV", help="absolute labels CSV (id,label)")
+    parser.add_argument("--comparisons", dest="comparisons_csv", metavar="CSV", help="comparison labels CSV (i,j,label); not supported yet, rejected")
 
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
@@ -99,35 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> bench.RunConfig:
-    config = bench.RunConfig(
-        k=args.k,
-        lam=args.lam,
-        seed=args.seed,
-        repeats=args.repeats,
-        workers=args.workers,
-        out=args.out,
-        fmt=args.fmt,
-    )
-    if getattr(args, "algorithm", None) is not None:
-        config.algorithm = args.algorithm
+    """RunConfig from the parsed flags; a flag left unset keeps the default."""
+    fields = {f.name for f in dataclasses.fields(bench.RunConfig)}
+    config = bench.RunConfig(**{f: v for f, v in vars(args).items() if f in fields and v is not None})
     if getattr(args, "synthetic", None) is not None:
         for field, value in _parse_synthetic(args.synthetic).items():
             setattr(config, field, value)
-    config.features_csv = getattr(args, "features", None)
-    config.absolute_csv = getattr(args, "absolute", None)
-    config.comparisons_csv = getattr(args, "comparisons", None)
-    if getattr(args, "folds", None) is not None:
-        config.folds = args.folds
-    if getattr(args, "map_lambda", None) is not None:
-        config.map_lambda = args.map_lambda
-    if getattr(args, "instances", None) is not None:
-        config.instances = args.instances
-    if getattr(args, "single", False):
-        config.single = True
-    if getattr(args, "n", None) is not None:
-        config.n = args.n
-    if getattr(args, "d", None) is not None:
-        config.d = args.d
     return config
 
 
@@ -146,13 +125,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
+        config = _build_config(args)
         if args.command == "select":
-            config = _build_config(args)
             rep = bench.run_selection(config)
             _emit(rep, config)
             return EXIT_OK
         if args.command == "verify":
-            config = _build_config(args)
             if config.n is None:
                 config.n, config.d = bench.VERIFY_GRID[0]
             status, rep = bench.verify_equivalence(config)
@@ -162,12 +140,10 @@ def main(argv=None) -> int:
                   f"hash={rep.content_hash()}", file=sys.stderr)
             return EXIT_OK if status == 0 else EXIT_VERIFY_FAILED
         if args.command == "evaluate":
-            config = _build_config(args)
             rep = bench.run_evaluation(config)
             _emit(rep, config)
             return EXIT_OK
         if args.command == "bench":
-            config = _build_config(args)
             config.algorithm = "ng"
             tags = [t.strip() for t in args.algorithms.split(",") if t.strip()]
             rep = bench.run_bench(config, tags)

@@ -26,11 +26,6 @@ Pair = tuple[int, int]
 _BRUTE_FORCE_LIMIT = 1_000_000
 
 
-def pair_universe(n: int) -> list[Pair]:
-    """All pairs (i, j) with 0 <= i < j < n, in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (I, J) for the full pair universe, lexicographic order."""
     return np.triu_indices(n, k=1)
@@ -119,25 +114,23 @@ def refresh_state(state: DesignState, x: np.ndarray) -> None:
     state.ainv = linalg.invert_spd(m)
 
 
-def brute_force_select(
-    x: np.ndarray, absolute_set, k: int, lam: float, pool: list[Pair] | None = None
-) -> list[Pair]:
-    """Exhaustive optimum over all size-k subsets of the pool.
+def brute_force_select(x: np.ndarray, absolute_set, k: int, lam: float, pool=None) -> list[Pair]:
+    """Exhaustive optimum over all size-k subsets of `pool` (see `greedy.resolve_pool`).
 
     Ties are broken toward the lexicographically smallest sorted pair list;
     enumerating `combinations` of a sorted pool with strict improvement gives
     exactly that rule.
     """
-    if pool is None:
-        pool = pair_universe(x.shape[0])
-    pool = sorted(pool)
-    if math.comb(len(pool), k) > _BRUTE_FORCE_LIMIT:
+    from .greedy import resolve_pool  # greedy imports this module
+
+    i, j = resolve_pool(x.shape[0], pool, k)
+    if math.comb(len(i), k) > _BRUTE_FORCE_LIMIT:
         raise InstanceTooLarge(
-            f"C({len(pool)}, {k}) subsets exceed the {_BRUTE_FORCE_LIMIT} guard"
+            f"C({len(i)}, {k}) subsets exceed the {_BRUTE_FORCE_LIMIT} guard"
         )
     best_value = -math.inf
     best: tuple[Pair, ...] = ()
-    for subset in combinations(pool, k):
+    for subset in combinations(zip(i.tolist(), j.tolist()), k):
         value = objective_value(x, absolute_set, subset, lam)
         if value > best_value:
             best_value = value

@@ -53,3 +53,7 @@ class DegenerateLabelSet(PairDesignError):
 
 class ConfigError(PairDesignError):
     """Invalid run configuration (maps to CLI usage errors)."""
+
+
+class InvalidPool(ConfigError, ValueError):
+    """A candidate pool is malformed or holds fewer pairs than requested."""

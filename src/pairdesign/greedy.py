@@ -20,8 +20,10 @@ iteration; the lazy block search in `lazy.py` (`nl`, `flp`, `flm`, `slp`,
 A^-1 is advanced by rank-one downdates only and never rebuilt mid-run;
 `design.refresh_state` rebuilds it from scratch outside the engines.
 
-Ties in d_e resolve to the lexicographically smallest pair: gains are laid
-out in lexicographic pair order and argmax returns the first maximum.
+Every selector, engine or baseline, reads its pool through `resolve_pool`,
+as index arrays (I, J) in lexicographic pair order. Ties in d_e resolve to
+the lexicographically smallest pair: gains are laid out in that order and
+argmax returns the first maximum.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from . import linalg
 from .design import Pair, comparison_feature, init_design, pair_arrays
+from .errors import InvalidPool
 from .trace import SelectionTrace
 
 # Pairs processed per block in the chunked quadratic-form sweep; bounds the
@@ -42,22 +45,34 @@ _CHUNK = 65536
 _ALL = slice(None)
 
 
-def _resolve_pool(n: int, pool: list[Pair] | None):
-    """Index arrays (I, J) for the candidate universe, lexicographic order.
+def resolve_pool(n: int | None, pool, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (I, J) of a candidate pool, lexicographic order.
 
-    A caller's pool must list distinct pairs (i, j) with 0 <= i < j < n.
+    `pool` None is every pair over `n` samples; any other pool is a list of
+    pairs or an (m, 2) array, in any order, of distinct pairs (i, j) with
+    0 <= i < j < n (`n` None: j unbounded). Raises `InvalidPool` for any
+    other pool and for `k` above the pool's size.
     """
     if pool is None:
-        return pair_arrays(n)
-    pairs = sorted(pool)
-    arr = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
-    i, j = arr[:, 0], arr[:, 1]
-    bad = (i < 0) | (i >= j) | (j >= n)
-    if bad.any():
-        raise ValueError(f"pool pair {tuple(arr[bad.argmax()].tolist())} is not (i, j) with 0 <= i < j < {n}")
-    repeated = (arr[1:] == arr[:-1]).all(axis=1)
-    if repeated.any():
-        raise ValueError(f"pool lists pair {tuple(arr[repeated.argmax()].tolist())} more than once")
+        i, j = pair_arrays(n)
+    else:
+        arr = np.asarray(pool)
+        if arr.size and (arr.shape[1:] != (2,) or arr.dtype.kind not in "iu"):
+            raise InvalidPool(f"pool of shape {arr.shape} and dtype {arr.dtype} is not a list of integer pairs")
+        arr = arr.astype(np.intp, copy=False).reshape(-1, 2)
+        arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+        i, j = arr[:, 0], arr[:, 1]
+        bad = (i < 0) | (i >= j)
+        if n is not None:
+            bad |= j >= n
+        if bad.any():
+            bound = "" if n is None else f" < {n}"
+            raise InvalidPool(f"pool pair {tuple(arr[bad.argmax()].tolist())} is not (i, j) with 0 <= i < j{bound}")
+        repeated = (arr[1:] == arr[:-1]).all(axis=1)
+        if repeated.any():
+            raise InvalidPool(f"pool lists pair {tuple(arr[repeated.argmax()].tolist())} more than once")
+    if k > len(i):
+        raise InvalidPool(f"k={k} exceeds candidate pool of {len(i)} pairs")
     return i, j
 
 
@@ -252,17 +267,15 @@ class EagerSearch:
         return best, float(d[best])
 
 
-def run(variant: str, search, x: np.ndarray, k: int, pool: list[Pair] | None, make_oracle) -> SelectionTrace:
-    """Select `k` pairs of `pool` (None: every pair) greedily.
+def run(variant: str, search, x: np.ndarray, k: int, pool, make_oracle) -> SelectionTrace:
+    """Select `k` pairs of `pool` (see `resolve_pool`) greedily.
 
     `make_oracle(pi, pj)` builds the gain oracle over the resolved pool. The
     preprocessing phase covers the oracle's construction and the search's
     setup; each iteration then times the search's pick (find-max) and the
     oracle's update.
     """
-    pi, pj = _resolve_pool(x.shape[0], pool)
-    if k > len(pi):
-        raise ValueError(f"k={k} exceeds candidate pool of {len(pi)} pairs")
+    pi, pj = resolve_pool(x.shape[0], pool, k)
     clock = time.perf_counter
 
     t0 = clock()

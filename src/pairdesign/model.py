@@ -17,6 +17,7 @@ from scipy.stats import rankdata
 
 from .design import Pair, comparison_feature
 from .errors import DegenerateLabelSet, InstanceTooLarge
+from .greedy import resolve_pool
 
 _FISHER_POOL_LIMIT = 10_000
 
@@ -183,18 +184,21 @@ def auc(scores, labels) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def entropy_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool: list[Pair]) -> list[Pair]:
-    """Top-k pairs by Bernoulli label entropy under the fitted model.
+def _pairs(i: np.ndarray, j: np.ndarray, picks) -> list[Pair]:
+    return list(zip(i[picks].tolist(), j[picks].tolist()))
 
-    The entropy objective is modular, so the greedy optimum is an exact
+
+def entropy_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pair]:
+    """Top-k pairs of `pool` by Bernoulli label entropy under the fitted model.
+
+    The pool is read by `greedy.resolve_pool`. The entropy objective is modular, so the greedy optimum is an exact
     top-k sort; ties resolve to lexicographically smaller pairs.
     """
-    pool = sorted(pool)
-    arr = np.asarray(pool, dtype=np.intp)
-    p = expit((x[arr[:, 0]] - x[arr[:, 1]]) @ beta_hat)
+    i, j = resolve_pool(x.shape[0], pool, k)
+    p = expit((x[i] - x[j]) @ beta_hat)
     entropy = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
-    order = np.lexsort((arr[:, 1], arr[:, 0], -entropy))
-    return [pool[i] for i in order[:k]]
+    order = np.lexsort((j, i, -entropy))
+    return _pairs(i, j, order[:k])
 
 
 def fisher_information_objective(
@@ -215,37 +219,36 @@ def fisher_information_objective(
 
 
 def _fisher_matrix(x, beta_hat, pairs, ridge):
-    arr = np.asarray(list(pairs), dtype=np.intp)
+    arr = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     diffs = x[arr[:, 0]] - x[arr[:, 1]]
     p = expit(diffs @ beta_hat)
     w = p * (1.0 - p)
-    return (diffs * w[:, None]).T @ diffs / len(pairs) + ridge * np.eye(x.shape[1])
+    return (diffs * w[:, None]).T @ diffs / len(arr) + ridge * np.eye(x.shape[1])
 
 
 def fisher_select(
     x: np.ndarray,
     beta_hat: np.ndarray,
     k: int,
-    pool: list[Pair],
+    pool,
     ridge: float = 1e-6,
 ) -> list[Pair]:
     """Greedy maximization of the Fisher information trace objective."""
-    pool = sorted(pool)
-    if len(pool) > _FISHER_POOL_LIMIT:
-        raise InstanceTooLarge(f"fisher pool {len(pool)} exceeds {_FISHER_POOL_LIMIT}")
+    i, j = resolve_pool(x.shape[0], pool, k)
+    if len(i) > _FISHER_POOL_LIMIT:
+        raise InstanceTooLarge(f"fisher pool {len(i)} exceeds {_FISHER_POOL_LIMIT}")
     d = x.shape[1]
-    arr = np.asarray(pool, dtype=np.intp)
-    diffs = x[arr[:, 0]] - x[arr[:, 1]]
+    diffs = x[i] - x[j]
     p = expit(diffs @ beta_hat)
     w = p * (1.0 - p)
-    i_p = _fisher_matrix(x, beta_hat, pool, ridge)
     eye = ridge * np.eye(d)
+    i_p = (diffs * w[:, None]).T @ diffs / len(i) + eye
     accum = np.zeros((d, d))
     chosen: list[int] = []
     for _ in range(k):
         best_idx = -1
         best_val = -np.inf
-        for idx in range(len(pool)):
+        for idx in range(len(i)):
             if idx in chosen:
                 continue
             m = (accum + w[idx] * np.outer(diffs[idx], diffs[idx])) / (len(chosen) + 1) + eye
@@ -255,14 +258,14 @@ def fisher_select(
                 best_idx = idx
         chosen.append(best_idx)
         accum += w[best_idx] * np.outer(diffs[best_idx], diffs[best_idx])
-    return [pool[i] for i in chosen]
+    return _pairs(i, j, chosen)
 
 
-def random_select(pool: list[Pair], k: int, seed: int | tuple) -> list[Pair]:
-    """Uniform sample without replacement, deterministic per seed."""
-    pool = sorted(pool)
-    if k > len(pool):
-        raise ValueError(f"k={k} exceeds pool of {len(pool)}")
+def random_select(pool, k: int, seed: int | tuple) -> list[Pair]:
+    """Uniform sample without replacement, deterministic per seed.
+
+    Reads no samples, so `pool` must be given and its indices are unbounded.
+    """
+    i, j = resolve_pool(None, pool, k)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(pool), size=k, replace=False)
-    return [pool[i] for i in sorted(idx)]
+    return _pairs(i, j, np.sort(rng.choice(len(i), size=k, replace=False)))

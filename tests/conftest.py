@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+from pairdesign.design import pair_arrays
+
+
+def pair_list(n: int) -> list[tuple[int, int]]:
+    """Every pair (i, j) with 0 <= i < j < n as tuples, lexicographic order."""
+    pi, pj = pair_arrays(n)
+    return list(zip(pi.tolist(), pj.tolist()))
+
 
 def random_spd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
     """Well-conditioned random SPD matrix."""

@@ -16,7 +16,7 @@ import pytest
 from pairdesign import bench, design, greedy, lazy, linalg, model
 from pairdesign.heap import HeapEntry, LazyHeap
 
-from conftest import random_instance, random_spd
+from conftest import pair_list, random_instance, random_spd
 from test_design import slogdet_objective
 from test_heap import SortedOracle, entry
 from test_model import finite_difference_gradient
@@ -70,7 +70,7 @@ def test_criterion_02_oracle_gain_equivalence(capsys):
             design.add_pair(state, x, (int(i), int(j)))
             selected.append((int(i), int(j)))
         base = slogdet_objective(x, absolute_set, selected, LAM)
-        pool = [e for e in design.pair_universe(n) if e not in selected]
+        pool = [e for e in pair_list(n) if e not in selected]
         for _ in range(10):
             e = pool[int(rng.integers(len(pool)))]
             gain = design.marginal_gain_exact(state, x, e)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pairdesign import bench, design, greedy
-from pairdesign.errors import ConfigError
+from pairdesign import bench, design, greedy, model
+from pairdesign.errors import ConfigError, InvalidPool
 
-from conftest import duplicate_row_instance, random_instance
+from conftest import duplicate_row_instance, pair_list, random_instance
 
 
 def small_verify_config(**kwargs):
@@ -103,8 +103,8 @@ def test_evaluation_labels_are_query_order_independent():
     x = np.random.default_rng(0).normal(size=(10, 3))
     beta = np.ones(3)
     labels = bench._SyntheticLabels(x, beta, 1.2, seed=(0, 1))
-    forward = labels.comparisons([(0, 1), (2, 3)])
-    backward = labels.comparisons([(2, 3), (0, 1)])
+    forward = labels.comparisons(np.array([0, 2]), np.array([1, 3]))
+    backward = labels.comparisons(np.array([2, 0]), np.array([3, 1]))
     assert dict(forward) == dict(backward)
     assert labels.absolute([4]) == labels.absolute([4])
 
@@ -129,14 +129,39 @@ def test_resolve_workers_env(monkeypatch):
     assert bench.resolve_workers(config) >= 1
 
 
-@pytest.mark.parametrize("tag", sorted(bench.ENGINES))
+def selector(tag, x, absolute_set):
+    """`select(k, pool)` -> selected pairs, for an engine or a baseline."""
+    if tag in bench.ENGINES:
+        return lambda k, pool: bench.ENGINES[tag](x, absolute_set, k, 1e-4, pool=pool).selected
+    if tag == "random":
+        return lambda k, pool: model.random_select(pool, k, seed=0)
+    select = model.entropy_select if tag == "entropy" else model.fisher_select
+    return lambda k, pool: select(x, np.ones(x.shape[1]), k, pool)
+
+
+@pytest.mark.parametrize("tag", sorted(bench.ENGINES) + list(bench.BASELINES))
 def test_engines_reject_malformed_pools(tag):
     x, absolute_set = random_instance(2, n=12, d=3)
-    engine = bench.ENGINES[tag]
-    for pool in ([(0, 1), (0, 1)], [(0, 1), (3, 3)], [(0, 1), (5, 2)], [(0, 1), (-1, 3)], [(0, 1), (4, 12)]):
-        with pytest.raises(ValueError):
-            engine(x, absolute_set, 1, 1e-4, pool=pool)
-    assert engine(x, absolute_set, 2, 1e-4, pool=[(4, 11), (0, 1), (2, 3)]).selected[0] in {(0, 1), (2, 3), (4, 11)}
+    select = selector(tag, x, absolute_set)
+    bad_pools = [[(0, 1), (0, 1)], [(0, 1), (3, 3)], [(0, 1), (5, 2)], [(0, 1), (-1, 3)]]
+    bad_pools += [[(0, 1, 2), (3, 4, 5)], [(0, 1), (0.5, 2)]]
+    if tag != "random":  # the random baseline reads no samples: no upper index bound
+        bad_pools.append([(0, 1), (4, 12)])
+    for pool in bad_pools:
+        with pytest.raises(InvalidPool):
+            select(1, pool)
+    with pytest.raises(InvalidPool):
+        select(4, [(4, 11), (0, 1), (2, 3)])
+    assert select(2, [(4, 11), (0, 1), (2, 3)])[0] in {(0, 1), (2, 3), (4, 11)}
+
+
+def test_array_and_list_pools_select_alike():
+    x, absolute_set = random_instance(4, n=15, d=3)
+    pairs = pair_list(15)[::2]
+    shuffled = [pairs[e] for e in np.random.default_rng(4).permutation(len(pairs))]
+    for tag in ("slm", "entropy"):
+        select = selector(tag, x, absolute_set)
+        assert select(6, np.array(pairs)) == select(6, shuffled), tag
 
 
 def test_engines_reach_the_naive_objective_on_tied_instances():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pairdesign import cli, data_io
+from pairdesign import bench, cli, data_io
 from pairdesign.errors import ConfigError
 
 
@@ -145,3 +145,10 @@ def test_parse_synthetic():
         cli._parse_synthetic("n=abc")
     with pytest.raises(ConfigError):
         cli._parse_synthetic("width=3")
+
+
+def test_k_above_the_pool_is_a_usage_error_for_every_algorithm(capsys):
+    for algorithm in bench.ALGORITHMS:
+        code = cli.main(["select", "--algorithm", algorithm, "--synthetic", "n=3,d=2", "--k", "5", "--workers", "1"])
+        assert code == 2, algorithm
+        assert "error: k=5 exceeds candidate pool of 3 pairs" in capsys.readouterr().err, algorithm

@@ -7,7 +7,7 @@ import pytest
 from pairdesign import design
 from pairdesign.errors import AlreadySelected, InstanceTooLarge
 
-from conftest import random_instance
+from conftest import pair_list, random_instance
 
 # 4x2 instance with A = {0}, S = [(0,1), (2,3)], lambda = 0.1; logdet
 # computed independently via slogdet of the assembled matrix.
@@ -29,17 +29,16 @@ def slogdet_objective(x, absolute_set, selected, lam):
     return val
 
 
-def test_pair_universe():
-    assert design.pair_universe(1) == []
-    assert design.pair_universe(3) == [(0, 1), (0, 2), (1, 2)]
-    pairs = design.pair_universe(9)
+def test_pair_arrays():
+    assert pair_list(1) == []
+    assert pair_list(3) == [(0, 1), (0, 2), (1, 2)]
+    pairs = pair_list(9)
     assert len(pairs) == 36
     assert pairs == sorted(pairs)
 
 
-def test_pair_arrays_match_universe():
-    pi, pj = design.pair_arrays(7)
-    assert [(int(i), int(j)) for i, j in zip(pi, pj)] == design.pair_universe(7)
+def test_pair_arrays_match_nested_loops():
+    assert pair_list(7) == [(i, j) for i in range(7) for j in range(i + 1, 7)]
 
 
 def test_comparison_feature():
@@ -78,7 +77,7 @@ def test_marginal_gain_matches_logdet_difference():
 def test_proxy_and_exact_share_argmax():
     x, absolute_set = random_instance(3, n=12, d=4)
     state = design.init_design(x, absolute_set, 1e-4)
-    pool = design.pair_universe(12)
+    pool = pair_list(12)
     proxy = [design.proxy_gain(state, x, e) for e in pool]
     exact = [design.marginal_gain_exact(state, x, e) for e in pool]
     assert int(np.argmax(proxy)) == int(np.argmax(exact))
@@ -118,7 +117,7 @@ def test_brute_force_matches_independent_enumeration():
     x, absolute_set = random_instance(13, n=6, d=3)
     lam = 1e-4
     k = 2
-    pool = design.pair_universe(6)
+    pool = pair_list(6)
     best_val = -np.inf
     best = None
     for subset in combinations(pool, k):

@@ -3,7 +3,7 @@ import pytest
 
 from pairdesign import design, greedy
 
-from conftest import random_instance
+from conftest import pair_list, random_instance
 
 LAM = 1e-4
 
@@ -24,7 +24,7 @@ def test_gains_match_proxy_oracle():
     x, absolute_set = random_instance(3, n=12, d=4)
     trace = greedy.naive_greedy(x, absolute_set, 4, LAM, record_gain_arrays=True)
     state = design.init_design(x, absolute_set, LAM)
-    pool = design.pair_universe(12)
+    pool = pair_list(12)
     for it, arr in enumerate(trace.gain_arrays):
         for idx, e in enumerate(pool):
             if e in trace.selected[:it]:

@@ -5,7 +5,7 @@ from pairdesign import bench, design, greedy, lazy, linalg
 from pairdesign.errors import StaleStampCorruption
 from pairdesign.heap import HeapEntry, LazyHeap, beats
 
-from conftest import duplicate_row_instance, random_instance
+from conftest import duplicate_row_instance, pair_list, random_instance
 
 LAM = 1e-4
 
@@ -34,7 +34,7 @@ def heap_search(tag, x, absolute_set, k, pool=None):
     it still beats the next one (pair order on equal gains), else pushed back.
     Returns the selected pairs and the refresh count per pick.
     """
-    pi, pj = greedy._resolve_pool(x.shape[0], pool)
+    pi, pj = greedy.resolve_pool(x.shape[0], pool, k)
     oracle = ORACLES[tag](x, absolute_set, k, pi, pj)
     index = {(int(i), int(j)): e for e, (i, j) in enumerate(zip(pi, pj))}
     heap = LazyHeap(HeapEntry(float(g), 0, pair) for g, pair in zip(oracle.initial(), index))
@@ -76,7 +76,7 @@ def test_lazy_engines_match_eager():
 
 def test_touch_counts_bounded():
     x, absolute_set = random_instance(7, n=40, d=8)
-    n_pairs = len(design.pair_universe(40))
+    n_pairs = len(pair_list(40))
     k = 10
     for tag, run in ENGINES.items():
         trace = run(x, absolute_set, k)
