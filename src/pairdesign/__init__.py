@@ -9,8 +9,6 @@ from .design import (
     objective_value,
     proxy_gain,
 )
-from .greedy import factorization_greedy, naive_greedy, scalar_greedy
-from .lazy import factorization_lazy, naive_lazy, scalar_lazy
 from .model import (
     FitResult,
     LabeledData,
@@ -39,14 +37,10 @@ __all__ = [
     "auc",
     "brute_force_select",
     "entropy_select",
-    "factorization_greedy",
-    "factorization_lazy",
     "fisher_select",
     "init_design",
     "map_fit",
     "marginal_gain_exact",
-    "naive_greedy",
-    "naive_lazy",
     "objective_value",
     "proxy_gain",
     "random_select",
@@ -54,7 +48,5 @@ __all__ = [
     "run_evaluation",
     "run_selection",
     "sample_synthetic",
-    "scalar_greedy",
-    "scalar_lazy",
     "verify_equivalence",
 ]

@@ -9,28 +9,34 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 from scipy.special import expit
 
-from . import greedy, lazy, model, report
+from . import model, report
 from .design import Pair, objective_value, pair_arrays
 from .errors import ConfigError
+from .greedy import EagerSearch, Engine, FactorizationOracle, NaiveOracle, ScalarOracle
+from .lazy import BlockSearch
 from .model import LabeledData
 from .trace import SelectionTrace
 
 WORKERS_ENV = "PAIRDESIGN_WORKERS"
 
+# The eight design engines: each tag is one search over one gain oracle,
+# under a memo policy.
 ENGINES = {
-    "ng": greedy.naive_greedy,
-    "fg": greedy.factorization_greedy,
-    "sg": greedy.scalar_greedy,
-    "nl": lazy.naive_lazy,
-    "flp": partial(lazy.factorization_lazy, mode="precompute"),
-    "flm": partial(lazy.factorization_lazy, mode="memoize"),
-    "slp": partial(lazy.scalar_lazy, mode="precompute"),
-    "slm": partial(lazy.scalar_lazy, mode="memoize"),
+    engine.tag: engine
+    for engine in (
+        Engine("ng", EagerSearch, NaiveOracle),
+        Engine("fg", EagerSearch, FactorizationOracle),
+        Engine("sg", EagerSearch, ScalarOracle),
+        Engine("nl", BlockSearch, NaiveOracle),
+        Engine("flp", BlockSearch, FactorizationOracle, "precompute"),
+        Engine("flm", BlockSearch, FactorizationOracle, "memoize"),
+        Engine("slp", BlockSearch, ScalarOracle, "precompute"),
+        Engine("slm", BlockSearch, ScalarOracle, "memoize"),
+    )
 }
 BASELINES = ("entropy", "fisher", "random")
 ALGORITHMS = tuple(ENGINES) + BASELINES
@@ -41,7 +47,6 @@ EQUIVALENCE_RTOL = 1e-6
 # Default equivalence suite: instance shapes cycled over 100 seeds.
 VERIFY_GRID = ((50, 10), (50, 40), (200, 10), (200, 40))
 VERIFY_INSTANCES = 100
-VERIFY_K = 20
 
 
 @dataclass
@@ -149,24 +154,24 @@ def _trace_row(repeat: int, seed, trace: SelectionTrace, objective: float) -> di
     return row
 
 
-def _select(config, x, absolute_set, absolute_labels, pool, k, seed) -> SelectionTrace:
-    """Run `config.algorithm` for `k` pairs of `pool` (see `greedy.resolve_pool`).
+def _select(config, x, absolute_set, absolute_labels, pool, seed) -> SelectionTrace:
+    """Run `config.algorithm` for `config.k` pairs of `pool` (see `greedy.resolve_pool`).
 
     Engines design around `absolute_set`; the entropy and fisher baselines
     fit `absolute_labels`, and the random baseline draws from `seed`.
     Baselines report no gains or timings.
     """
     if config.algorithm in ENGINES:
-        return ENGINES[config.algorithm](x, absolute_set, k, config.lam, pool=pool)
+        return ENGINES[config.algorithm](x, absolute_set, config.k, config.lam, pool=pool)
     if config.algorithm == "random":
         # the random baseline reads no samples, so it is given the universe
         if pool is None:
             pool = np.column_stack(pair_arrays(x.shape[0]))
-        selected = model.random_select(pool, k, seed=seed)
+        selected = model.random_select(pool, config.k, seed=seed)
     else:
         fit = model.map_fit(x, LabeledData(absolute=list(absolute_labels)), config.map_lambda)
         select = model.entropy_select if config.algorithm == "entropy" else model.fisher_select
-        selected = select(x, fit.params.beta, k, pool)
+        selected = select(x, fit.params.beta, config.k, pool)
     return SelectionTrace(
         variant=config.algorithm,
         selected=selected,
@@ -188,7 +193,7 @@ def _selection_repeat(args) -> dict:
             seed, config.n, config.d, config.sigma_x, config.sigma_beta, config.c_a, config.n_absolute
         )
         absolute_labels = sampler.absolute_labels(absolute_set)
-    trace = _select(config, x, absolute_set, absolute_labels, None, config.k, (*seed, 7))
+    trace = _select(config, x, absolute_set, absolute_labels, None, (*seed, 7))
     objective = objective_value(x, absolute_set, trace.selected, config.lam)
     return _trace_row(repeat, seed, trace, objective)
 
@@ -271,7 +276,7 @@ def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Rep
         specs = []
         for idx in range(config.instances):
             n, d = VERIFY_GRID[idx % len(VERIFY_GRID)]
-            specs.append((idx, config.seed + idx, n, d, VERIFY_K, config.lam, config.n_absolute, engines))
+            specs.append((idx, config.seed + idx, n, d, config.k, config.lam, config.n_absolute, engines))
         workers = resolve_workers(config) if engines is None else 1
     results = _pmap(_verify_instance, specs, workers)
 
@@ -356,11 +361,10 @@ def _evaluation_repeat(args) -> list[dict]:
         absolute_set = sorted(train[: config.n_absolute].tolist())
         absolute_labels = labels.absolute(absolute_set)
         pool = np.column_stack(_pairs_within(train))
-        k = min(config.k, len(pool))
         selected = _select(
-            config, x, absolute_set, absolute_labels, pool, k, (config.seed, repeat, fold_idx, 7)
+            config, x, absolute_set, absolute_labels, pool, (config.seed, repeat, fold_idx, 7)
         ).selected
-        revealed = labels.comparisons(*np.asarray(selected, dtype=np.intp).reshape(-1, 2).T)
+        revealed = labels.comparisons(*np.asarray(selected, dtype=np.intp).T)
         fit = model.map_fit(x, LabeledData(absolute_labels, revealed), config.map_lambda)
         beta = fit.params.beta
 
@@ -373,7 +377,7 @@ def _evaluation_repeat(args) -> list[dict]:
             "repeat": repeat,
             "fold": fold_idx,
             "algorithm": config.algorithm,
-            "k": k,
+            "k": config.k,
             "auc_comparison": model.auc(cmp_scores, [y for _, y in cmp_labels]),
             "auc_absolute": model.auc(abs_scores, [y for _, y in abs_labels]),
             "converged": fit.converged,

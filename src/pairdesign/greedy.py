@@ -1,8 +1,8 @@
-"""The engine core: gain oracles driven by a search, plus the eager engines.
+"""The engine core: gain oracles driven by a search, plus the eager search.
 
-Every engine runs the same greedy rule through `run`; the eight differ only
-in the gain oracle that yields d_e = x_e^T A^-1 x_e and in the search that
-decides which gains to ask for:
+Every engine is one `Engine`: a search driving a gain oracle under a memo
+policy, run by the same greedy loop (`bench.ENGINES` lists the eight). The
+oracle yields d_e = x_e^T A^-1 x_e:
 
 * `NaiveOracle`: a fresh quadratic form per pair, O(|C| d^2) for all pairs;
 * `FactorizationOracle`: factor A^-1 = U^T U once per iteration, on first
@@ -13,9 +13,10 @@ decides which gains to ask for:
   preprocessing, plus the O(d^2) in-place downdate A^-1 -= v v^T that
   yields v.
 
-The eager search here (`ng`, `fg`, `sg`) asks for every pair's gain each
-iteration; the lazy block search in `lazy.py` (`nl`, `flp`, `flm`, `slp`,
-`slm`) asks only for the stale gains that could still win.
+The search decides which gains to ask for: the eager search here (`ng`,
+`fg`, `sg`) asks for every pair's gain each iteration; the lazy block search
+in `lazy.py` (`nl`, `flp`, `flm`, `slp`, `slm`) asks only for the stale
+gains that could still win.
 
 A^-1 is advanced by rank-one downdates only and never rebuilt mid-run;
 `design.refresh_state` rebuilds it from scratch outside the engines.
@@ -29,6 +30,7 @@ argmax returns the first maximum.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +58,10 @@ def resolve_pool(n: int | None, pool, k: int) -> tuple[np.ndarray, np.ndarray]:
     if pool is None:
         i, j = pair_arrays(n)
     else:
-        arr = np.asarray(pool)
+        try:
+            arr = np.asarray(pool)
+        except ValueError:
+            raise InvalidPool("ragged pool is not a list of integer pairs") from None
         if arr.size and (arr.shape[1:] != (2,) or arr.dtype.kind not in "iu"):
             raise InvalidPool(f"pool of shape {arr.shape} and dtype {arr.dtype} is not a list of integer pairs")
         arr = arr.astype(np.intp, copy=False).reshape(-1, 2)
@@ -99,15 +104,16 @@ class GainOracle:
     `initial()` gives every pool entry's gain for the empty selection;
     `refresh(b, it)` gives the gains of pool entries `b` (an index array, or
     `_ALL`) at iteration `it`; `update(pair, it)` applies the selection of
-    iteration `it`. `computed` counts the scratch entries a memoized oracle
-    has filled, and is None for the others.
+    iteration `it`. Every oracle takes the same arguments; `k` sizes the
+    scalar history and `memo` is the memo policy: None, "precompute" or
+    "memoize". `computed` counts the scratch entries a memoized oracle has
+    filled, and is None for the others.
     """
 
-    computed = None
-
-    def __init__(self, x, absolute_set, lam, pi, pj):
-        self.x, self.pi, self.pj = x, pi, pj
+    def __init__(self, x, absolute_set, lam, pi, pj, k, memo=None):
+        self.x, self.pi, self.pj, self.memo = x, pi, pj, memo
         self.state = init_design(x, absolute_set, lam)
+        self.computed = 0 if memo == "memoize" else None
 
     def initial(self) -> np.ndarray:
         """Every gain in Gram form, through a factor of the base A^-1."""
@@ -132,18 +138,16 @@ class FactorizationOracle(GainOracle):
     """Gains as squared distances between samples mapped through U.
 
     U with U^T U = A^-1 is factored at the first refresh of an iteration.
-    With `mode` None (`fg`) the gains come in Gram form over every mapped
+    With `memo` None (`fg`) the gains come in Gram form over every mapped
     sample; otherwise as row differences, with every sample mapped on
     factoring ("precompute") or each sample on its first use within the
     iteration ("memoize").
     """
 
-    def __init__(self, x, absolute_set, lam, pi, pj, mode=None):
-        super().__init__(x, absolute_set, lam, pi, pj)
-        self.mode = mode
+    def __init__(self, x, absolute_set, lam, pi, pj, k, memo=None):
+        super().__init__(x, absolute_set, lam, pi, pj, k, memo)
         self.factored = -1  # iteration of the current U
-        if mode == "memoize":
-            self.computed = 0
+        if memo == "memoize":
             # iteration of each row's U; initial() maps every row at iteration 0
             self._mapped = np.zeros(x.shape[0], dtype=np.intp)
 
@@ -155,12 +159,12 @@ class FactorizationOracle(GainOracle):
         if self.factored != it:
             self.u = linalg.gram_factor(self.state.ainv)
             self.factored = it
-            if self.mode != "memoize":
+            if self.memo != "memoize":
                 self.z = self.x @ self.u.T
         i, j = self.pi[b], self.pj[b]
-        if self.mode is None:
+        if self.memo is None:
             return factorization_gains(self.z, i, j)
-        if self.mode == "memoize":
+        if self.memo == "memoize":
             self._map(np.concatenate((i, j)), it)
         diff = self.z[i] - self.z[j]
         return np.einsum("ed,ed->e", diff, diff)
@@ -182,7 +186,7 @@ class FactorizationOracle(GainOracle):
 class ScalarOracle(GainOracle):
     """Gains computed once, then brought current by scalar downdates.
 
-    Each selection downdates A^-1 in place to A^-1 - v v^T. With `mode`
+    Each selection downdates A^-1 in place to A^-1 - v v^T. With `memo`
     None (`sg`) every gain is then downdated in place by (rho_i - rho_j)^2,
     where rho = X v. Otherwise a gain is brought current from its initial
     value by subtracting sum_{l < it} (rho_{l,i} - rho_{l,j})^2, accumulated
@@ -193,24 +197,22 @@ class ScalarOracle(GainOracle):
     stale bound stays an exact upper bound in floating point.
     """
 
-    def __init__(self, x, absolute_set, lam, pi, pj, k, mode=None):
-        super().__init__(x, absolute_set, lam, pi, pj)
-        self.mode = mode
+    def __init__(self, x, absolute_set, lam, pi, pj, k, memo=None):
+        super().__init__(x, absolute_set, lam, pi, pj, k, memo)
         self.gains = super().initial()
         self.rho = np.zeros((k, x.shape[0]))
         self.v = np.zeros((k, x.shape[1]))
-        if mode == "memoize":
-            self.computed = 0
+        if memo == "memoize":
             self._filled = np.zeros(self.rho.shape, dtype=bool)
 
     def initial(self) -> np.ndarray:
         return self.gains
 
     def refresh(self, b, it: int) -> np.ndarray:
-        if self.mode is None:
+        if self.memo is None:
             return self.gains[b]
         i, j = self.pi[b], self.pj[b]
-        if self.mode == "memoize":
+        if self.memo == "memoize":
             self.fill(np.concatenate((i, j)), it)
         rows = self.rho[:it]
         diff = rows[:, i] - rows[:, j]
@@ -221,9 +223,9 @@ class ScalarOracle(GainOracle):
     def update(self, pair: Pair, it: int) -> None:
         v = linalg.scalar_downdate(self.state.ainv, comparison_feature(self.x, pair))
         self.state.selected.append(pair)
-        if self.mode == "memoize":
+        if self.memo == "memoize":
             self.v[it] = v
-        elif self.mode == "precompute":
+        elif self.memo == "precompute":
             self.rho[it] = self.x @ v
         else:
             rho = self.x @ v
@@ -267,69 +269,61 @@ class EagerSearch:
         return best, float(d[best])
 
 
-def run(variant: str, search, x: np.ndarray, k: int, pool, make_oracle) -> SelectionTrace:
-    """Select `k` pairs of `pool` (see `resolve_pool`) greedily.
+@dataclass(frozen=True)
+class Engine:
+    """A search class driving a gain oracle class under a memo policy.
 
-    `make_oracle(pi, pj)` builds the gain oracle over the resolved pool. The
-    preprocessing phase covers the oracle's construction and the search's
-    setup; each iteration then times the search's pick (find-max) and the
-    oracle's update.
+    Calling the engine selects `k` pairs of `pool` (see `resolve_pool`)
+    greedily; keyword options go to the search (`record_gain_arrays` for
+    `EagerSearch`). The preprocessing phase covers the oracle's construction
+    and the search's setup; each iteration then times the search's pick
+    (find-max) and the oracle's update.
     """
-    pi, pj = resolve_pool(x.shape[0], pool, k)
-    clock = time.perf_counter
 
-    t0 = clock()
-    oracle = make_oracle(pi, pj)
-    search.start(oracle)
-    pre_seconds = clock() - t0
+    tag: str
+    search: type
+    oracle: type
+    memo: str | None = None
 
-    selected: list[Pair] = []
-    gains: list[float] = []
-    find_max_seconds: list[float] = []
-    update_seconds: list[float] = []
-    memo_counts = None if oracle.computed is None else []
+    def __call__(self, x, absolute_set, k, lam, pool=None, **search_options) -> SelectionTrace:
+        search = self.search(**search_options)
+        pi, pj = resolve_pool(x.shape[0], pool, k)
+        clock = time.perf_counter
 
-    for it in range(k):
-        t1 = clock()
-        best, gain = search.pick(oracle, it)
-        find_max_seconds.append(clock() - t1)
+        t0 = clock()
+        oracle = self.oracle(x, absolute_set, lam, pi, pj, k, self.memo)
+        search.start(oracle)
+        pre_seconds = clock() - t0
 
-        pair = (int(pi[best]), int(pj[best]))
-        selected.append(pair)
-        gains.append(gain)
+        selected: list[Pair] = []
+        gains: list[float] = []
+        find_max_seconds: list[float] = []
+        update_seconds: list[float] = []
+        memo_counts = None if oracle.computed is None else []
 
-        t2 = clock()
-        oracle.update(pair, it)
-        update_seconds.append(clock() - t2)
-        if memo_counts is not None:
-            memo_counts.append(oracle.computed - sum(memo_counts))
+        for it in range(k):
+            t1 = clock()
+            best, gain = search.pick(oracle, it)
+            find_max_seconds.append(clock() - t1)
 
-    return SelectionTrace(
-        variant=variant,
-        selected=selected,
-        gains=gains,
-        preprocessing_seconds=pre_seconds,
-        find_max_seconds=find_max_seconds,
-        update_seconds=update_seconds,
-        touch_counts=search.touch_counts,
-        memo_counts=memo_counts,
-        gain_arrays=search.gain_arrays,
-    )
+            pair = (int(pi[best]), int(pj[best]))
+            selected.append(pair)
+            gains.append(gain)
 
+            t2 = clock()
+            oracle.update(pair, it)
+            update_seconds.append(clock() - t2)
+            if memo_counts is not None:
+                memo_counts.append(oracle.computed - sum(memo_counts))
 
-def naive_greedy(x, absolute_set, k, lam, pool=None, record_gain_arrays=False) -> SelectionTrace:
-    """Fresh quadratic form for every remaining pair, every iteration."""
-    return run("ng", EagerSearch(record_gain_arrays), x, k, pool,
-               lambda pi, pj: NaiveOracle(x, absolute_set, lam, pi, pj))
-
-
-def factorization_greedy(x, absolute_set, k, lam, pool=None, record_gain_arrays=False) -> SelectionTrace:
-    """Per-iteration Cholesky factor of A^-1; gains as squared z-distances."""
-    return run("fg", EagerSearch(record_gain_arrays), x, k, pool,
-               lambda pi, pj: FactorizationOracle(x, absolute_set, lam, pi, pj))
-
-
-def scalar_greedy(x, absolute_set, k, lam, pool=None, record_gain_arrays=False) -> SelectionTrace:
-    """Gains computed once, then downdated by scalar differences per iteration."""
-    return run("sg", EagerSearch(record_gain_arrays), x, k, pool,
-               lambda pi, pj: ScalarOracle(x, absolute_set, lam, pi, pj, k))
+        return SelectionTrace(
+            variant=self.tag,
+            selected=selected,
+            gains=gains,
+            preprocessing_seconds=pre_seconds,
+            find_max_seconds=find_max_seconds,
+            update_seconds=update_seconds,
+            touch_counts=search.touch_counts,
+            memo_counts=memo_counts,
+            gain_arrays=search.gain_arrays,
+        )

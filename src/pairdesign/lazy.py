@@ -1,4 +1,4 @@
-"""Lazy greedy engines: block refresh of stale upper bounds held in arrays.
+"""Lazy greedy search: block refresh of stale upper bounds held in arrays.
 
 Submodularity makes every stored gain an upper bound on the pair's current
 gain (Minoux's accelerated greedy). The search keeps one bound and one
@@ -12,7 +12,8 @@ equal values the smaller pool index, which is the smaller pair, wins: the
 acceptance rule of a one-at-a-time max-heap search, which the tests keep as
 a reference.
 
-The engines run this search over the gain oracles of `greedy.py`:
+The lazy engines of `bench.ENGINES` run this search over the gain oracles
+of `greedy.py`:
 
 * naive lazy (`nl`): refresh with fresh quadratic forms;
 * factorization lazy (`flp`, `flm`): refresh as ||z_i - z_j||^2 through a
@@ -27,18 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StaleStampCorruption
-from .greedy import FactorizationOracle, NaiveOracle, ScalarOracle, run
 # Not used here; per-layer tracing (perfbench/spans.py) patches these names
 # on this module as well, so they must stay resolvable.
 from .greedy import factorization_gains, init_design  # noqa: F401
 from .heap import LazyHeap  # noqa: F401
-from .trace import SelectionTrace
 
 # Fewest entries a refresh block takes.
 _MIN_BLOCK = 16
-
-# Tag suffix of each memo mode.
-_MODES = {"precompute": "p", "memoize": "m"}
 
 
 def _checked_stamps(stamp: np.ndarray, b: np.ndarray, it: int) -> np.ndarray:
@@ -108,38 +104,3 @@ class BlockSearch:
         bound[best] = -np.inf
         return best, float(gain)
 
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-
-
-def naive_lazy(x, absolute_set, k, lam, pool=None) -> SelectionTrace:
-    """Lazy greedy refreshing entries with fresh quadratic forms."""
-    return run("nl", BlockSearch(), x, k, pool,
-               lambda pi, pj: NaiveOracle(x, absolute_set, lam, pi, pj))
-
-
-def factorization_lazy(x, absolute_set, k, lam, pool=None, mode="precompute") -> SelectionTrace:
-    """Lazy greedy with per-iteration refactorization of A^-1.
-
-    precompute maps every sample through U once the iteration first needs
-    U; memoize maps a sample on its first refresh within the iteration and
-    reuses it until the next selection invalidates the factor.
-    """
-    _check_mode(mode)
-    return run("fl" + _MODES[mode], BlockSearch(), x, k, pool,
-               lambda pi, pj: FactorizationOracle(x, absolute_set, lam, pi, pj, mode))
-
-
-def scalar_lazy(x, absolute_set, k, lam, pool=None, mode="precompute") -> SelectionTrace:
-    """Lazy greedy adapting stale gains from the rho history.
-
-    An entry is brought current at iteration k by subtracting
-    sum_{l < k} (rho_{l,i} - rho_{l,j})^2 from its initial gain (see
-    `greedy.ScalarOracle`); precompute fills a history row per selection,
-    memoize only the entries that refreshes read.
-    """
-    _check_mode(mode)
-    return run("sl" + _MODES[mode], BlockSearch(), x, k, pool,
-               lambda pi, pj: ScalarOracle(x, absolute_set, lam, pi, pj, k, mode))

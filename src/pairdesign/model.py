@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, xlogy
-from scipy.stats import rankdata
 
 from .design import Pair, comparison_feature
 from .errors import DegenerateLabelSet, InstanceTooLarge
@@ -180,8 +179,11 @@ def auc(scores, labels) -> float:
     n_neg = int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelSet("need at least one positive and one negative label")
-    ranks = rankdata(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # twice the U statistic: each negative below a positive counts 2, a tie 1
+    negatives = np.sort(scores[neg])
+    twice_u = int(np.searchsorted(negatives, scores[pos], "left").sum()
+                  + np.searchsorted(negatives, scores[pos], "right").sum())
+    return float(twice_u / 2.0 / (n_pos * n_neg))
 
 
 def _pairs(i: np.ndarray, j: np.ndarray, picks) -> list[Pair]:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from pairdesign import bench, design, greedy, lazy, linalg, model
+from pairdesign import bench, design, greedy, linalg, model
 from pairdesign.heap import HeapEntry, LazyHeap
 
 from conftest import pair_list, random_instance, random_spd
@@ -114,7 +114,7 @@ def test_criterion_04_scalar_update_drift(capsys):
     # scalar-lazy entries adapted after being stale for up to 50 iterations.
     x, absolute_set = random_instance(4, n=200, d=20)
     k = 50
-    trace = greedy.scalar_greedy(x, absolute_set, k + 1, LAM, record_gain_arrays=True)
+    trace = bench.ENGINES["sg"](x, absolute_set, k + 1, LAM, record_gain_arrays=True)
     state = design.init_design(x, absolute_set, LAM)
     for e in trace.selected[:k]:
         design.add_pair(state, x, e)
@@ -163,7 +163,7 @@ def test_criterion_05_nemhauser_bound(capsys):
     for seed in range(50):
         x, absolute_set = random_instance(seed, n=8, d=4)
         base = design.objective_value(x, absolute_set, [], LAM)
-        greedy_set = greedy.scalar_greedy(x, absolute_set, 3, LAM).selected
+        greedy_set = bench.ENGINES["sg"](x, absolute_set, 3, LAM).selected
         f_greedy = design.objective_value(x, absolute_set, greedy_set, LAM)
         best = design.brute_force_select(x, absolute_set, 3, LAM)
         f_best = design.objective_value(x, absolute_set, best, LAM)
@@ -183,10 +183,10 @@ def headline_timings():
     x, absolute_set, _ = bench.make_instance(0, 2000, 128)
     k = 50
     traces = {
-        "sg": greedy.scalar_greedy(x, absolute_set, k, LAM),
-        "fg": greedy.factorization_greedy(x, absolute_set, k, LAM),
-        "ng": greedy.naive_greedy(x, absolute_set, k, LAM),
-        "flp": lazy.factorization_lazy(x, absolute_set, k, LAM, mode="precompute"),
+        "sg": bench.ENGINES["sg"](x, absolute_set, k, LAM),
+        "fg": bench.ENGINES["fg"](x, absolute_set, k, LAM),
+        "ng": bench.ENGINES["ng"](x, absolute_set, k, LAM),
+        "flp": bench.ENGINES["flp"](x, absolute_set, k, LAM),
     }
     return {"traces": traces, "k": k, "n_pairs": 2000 * 1999 // 2}
 
@@ -203,8 +203,8 @@ def test_criterion_06_complexity_trend(capsys, headline_timings):
     sweep = {}
     for d in (64, 128):
         x, absolute_set, _ = bench.make_instance(1, 1000, d)
-        ng = greedy.naive_greedy(x, absolute_set, 10, LAM)
-        sg = greedy.scalar_greedy(x, absolute_set, 10, LAM)
+        ng = bench.ENGINES["ng"](x, absolute_set, 10, LAM)
+        sg = bench.ENGINES["sg"](x, absolute_set, 10, LAM)
         sweep[d] = {
             "ng_find": float(np.median(ng.find_max_seconds)),
             "sg_sweep": float(np.median(sg.find_max_seconds) + np.median(sg.update_seconds)),

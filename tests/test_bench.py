@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairdesign import bench, design, greedy, model
+from pairdesign import bench, design, model
 from pairdesign.errors import ConfigError, InvalidPool
 
 from conftest import duplicate_row_instance, pair_list, random_instance
@@ -65,10 +65,12 @@ def test_verify_single_instance_passes():
 
 
 def test_verify_detects_corrupted_engine():
+    sg = bench.ENGINES["sg"]
+
     def broken(x, absolute_set, k, lam, pool=None):
         # the override table is passed along, never swapped into the registry
-        assert bench.ENGINES["sg"] is greedy.scalar_greedy
-        trace = greedy.scalar_greedy(x, absolute_set, k, lam, pool=pool)
+        assert bench.ENGINES["sg"] is sg
+        trace = sg(x, absolute_set, k, lam, pool=pool)
         trace.selected = list(reversed(trace.selected))
         return trace
 
@@ -79,7 +81,7 @@ def test_verify_detects_corrupted_engine():
     assert rep.aggregates["failures"]
     assert "sg" in rep.aggregates["failures"][0]["variants"]
     # the override table must not leak into the global registry
-    assert bench.ENGINES["sg"] is greedy.scalar_greedy
+    assert bench.ENGINES["sg"] is sg
 
 
 def test_verify_rejects_bad_lambda():
@@ -144,7 +146,7 @@ def test_engines_reject_malformed_pools(tag):
     x, absolute_set = random_instance(2, n=12, d=3)
     select = selector(tag, x, absolute_set)
     bad_pools = [[(0, 1), (0, 1)], [(0, 1), (3, 3)], [(0, 1), (5, 2)], [(0, 1), (-1, 3)]]
-    bad_pools += [[(0, 1, 2), (3, 4, 5)], [(0, 1), (0.5, 2)]]
+    bad_pools += [[(0, 1, 2), (3, 4, 5)], [(0, 1), (0.5, 2)], [(0, 1), (2,)]]
     if tag != "random":  # the random baseline reads no samples: no upper index bound
         bad_pools.append([(0, 1), (4, 12)])
     for pool in bad_pools:

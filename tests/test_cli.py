@@ -53,6 +53,15 @@ def test_verify_single(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().err
 
 
+def test_verify_grid_runs_the_given_k(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    code = cli.main(["verify", "--k", "3", "--instances", "2", "--workers", "1", "--out", str(out)])
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["k"] for row in rows] == [3, 3]
+    assert all(len(row["selected_ng"]) == 3 for row in rows)
+
+
 def test_evaluate(tmp_path):
     out = tmp_path / "eval.json"
     code = cli.main(
@@ -152,3 +161,8 @@ def test_k_above_the_pool_is_a_usage_error_for_every_algorithm(capsys):
         code = cli.main(["select", "--algorithm", algorithm, "--synthetic", "n=3,d=2", "--k", "5", "--workers", "1"])
         assert code == 2, algorithm
         assert "error: k=5 exceeds candidate pool of 3 pairs" in capsys.readouterr().err, algorithm
+        # one fold holds out 3 of 12 samples: a training pool of 36 pairs
+        code = cli.main(["evaluate", "--algorithm", algorithm, "--synthetic", "n=12,d=2,n-absolute=2",
+                         "--k", "500", "--folds", "1", "--workers", "1"])
+        assert code == 2, algorithm
+        assert "error: k=500 exceeds candidate pool of 36 pairs" in capsys.readouterr().err, algorithm

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairdesign import design, greedy
+from pairdesign import bench, design, greedy
 
 from conftest import pair_list, random_instance
 
@@ -11,9 +11,9 @@ LAM = 1e-4
 def test_variants_agree_on_random_instances():
     for seed in range(6):
         x, absolute_set = random_instance(seed, n=30, d=6)
-        ng = greedy.naive_greedy(x, absolute_set, 8, LAM)
-        fg = greedy.factorization_greedy(x, absolute_set, 8, LAM)
-        sg = greedy.scalar_greedy(x, absolute_set, 8, LAM)
+        ng = bench.ENGINES["ng"](x, absolute_set, 8, LAM)
+        fg = bench.ENGINES["fg"](x, absolute_set, 8, LAM)
+        sg = bench.ENGINES["sg"](x, absolute_set, 8, LAM)
         assert fg.selected == ng.selected
         assert sg.selected == ng.selected
         assert np.allclose(fg.gains, ng.gains, rtol=1e-9)
@@ -22,7 +22,7 @@ def test_variants_agree_on_random_instances():
 
 def test_gains_match_proxy_oracle():
     x, absolute_set = random_instance(3, n=12, d=4)
-    trace = greedy.naive_greedy(x, absolute_set, 4, LAM, record_gain_arrays=True)
+    trace = bench.ENGINES["ng"](x, absolute_set, 4, LAM, record_gain_arrays=True)
     state = design.init_design(x, absolute_set, LAM)
     pool = pair_list(12)
     for it, arr in enumerate(trace.gain_arrays):
@@ -36,9 +36,9 @@ def test_gains_match_proxy_oracle():
 
 def test_gain_arrays_identical_across_variants():
     x, absolute_set = random_instance(9, n=25, d=5)
-    ng = greedy.naive_greedy(x, absolute_set, 6, LAM, record_gain_arrays=True)
-    fg = greedy.factorization_greedy(x, absolute_set, 6, LAM, record_gain_arrays=True)
-    sg = greedy.scalar_greedy(x, absolute_set, 6, LAM, record_gain_arrays=True)
+    ng = bench.ENGINES["ng"](x, absolute_set, 6, LAM, record_gain_arrays=True)
+    fg = bench.ENGINES["fg"](x, absolute_set, 6, LAM, record_gain_arrays=True)
+    sg = bench.ENGINES["sg"](x, absolute_set, 6, LAM, record_gain_arrays=True)
     for a, b, c in zip(ng.gain_arrays, fg.gain_arrays, sg.gain_arrays):
         mask = np.isfinite(a)
         assert np.array_equal(mask, np.isfinite(b)) and np.array_equal(mask, np.isfinite(c))
@@ -49,7 +49,7 @@ def test_gain_arrays_identical_across_variants():
 def test_gains_nonincreasing():
     # submodularity: the greedy gain sequence never increases (up to slack)
     x, absolute_set = random_instance(21, n=40, d=8)
-    trace = greedy.scalar_greedy(x, absolute_set, 12, LAM)
+    trace = bench.ENGINES["sg"](x, absolute_set, 12, LAM)
     deltas = trace.objective_deltas
     for earlier, later in zip(deltas, deltas[1:]):
         assert later <= earlier + 1e-9
@@ -59,7 +59,7 @@ def test_scalar_drift_bounded():
     # after many downdates the cached gains still match fresh recomputes
     x, absolute_set = random_instance(17, n=80, d=10)
     k = 30
-    trace = greedy.scalar_greedy(x, absolute_set, k, LAM, record_gain_arrays=True)
+    trace = bench.ENGINES["sg"](x, absolute_set, k, LAM, record_gain_arrays=True)
     state = design.init_design(x, absolute_set, LAM)
     for e in trace.selected[:-1]:
         design.add_pair(state, x, e)
@@ -74,7 +74,7 @@ def test_scalar_drift_bounded():
 def test_pool_restriction():
     x, absolute_set = random_instance(8, n=20, d=5)
     pool = [(0, 5), (2, 9), (1, 3), (4, 17), (10, 11)]
-    trace = greedy.factorization_greedy(x, absolute_set, 3, LAM, pool=pool)
+    trace = bench.ENGINES["fg"](x, absolute_set, 3, LAM, pool=pool)
     assert set(trace.selected) <= set(pool)
     assert len(trace.selected) == 3
 
@@ -82,14 +82,14 @@ def test_pool_restriction():
 def test_k_exceeding_pool_raises():
     x, absolute_set = random_instance(8, n=5, d=3)
     with pytest.raises(ValueError):
-        greedy.naive_greedy(x, absolute_set, 11, LAM)
+        bench.ENGINES["ng"](x, absolute_set, 11, LAM)
     with pytest.raises(ValueError):
-        greedy.scalar_greedy(x, absolute_set, 3, LAM, pool=[(0, 1)])
+        bench.ENGINES["sg"](x, absolute_set, 3, LAM, pool=[(0, 1)])
 
 
 def test_timing_fields_populated():
     x, absolute_set = random_instance(2, n=15, d=4)
-    trace = greedy.naive_greedy(x, absolute_set, 5, LAM)
+    trace = bench.ENGINES["ng"](x, absolute_set, 5, LAM)
     assert len(trace.find_max_seconds) == 5
     assert len(trace.update_seconds) == 5
     assert trace.total_seconds > 0.0

@@ -9,33 +9,20 @@ from conftest import duplicate_row_instance, pair_list, random_instance
 
 LAM = 1e-4
 
-ENGINES = {
-    "nl": lambda x, a, k: lazy.naive_lazy(x, a, k, LAM),
-    "flp": lambda x, a, k: lazy.factorization_lazy(x, a, k, LAM, mode="precompute"),
-    "flm": lambda x, a, k: lazy.factorization_lazy(x, a, k, LAM, mode="memoize"),
-    "slp": lambda x, a, k: lazy.scalar_lazy(x, a, k, LAM, mode="precompute"),
-    "slm": lambda x, a, k: lazy.scalar_lazy(x, a, k, LAM, mode="memoize"),
-}
-
-# The same gain oracles, for driving by the reference heap search below.
-ORACLES = {
-    "nl": lambda x, a, k, pi, pj: greedy.NaiveOracle(x, a, LAM, pi, pj),
-    "flp": lambda x, a, k, pi, pj: greedy.FactorizationOracle(x, a, LAM, pi, pj, "precompute"),
-    "flm": lambda x, a, k, pi, pj: greedy.FactorizationOracle(x, a, LAM, pi, pj, "memoize"),
-    "slp": lambda x, a, k, pi, pj: greedy.ScalarOracle(x, a, LAM, pi, pj, k, "precompute"),
-    "slm": lambda x, a, k, pi, pj: greedy.ScalarOracle(x, a, LAM, pi, pj, k, "memoize"),
-}
+LAZY = {tag: engine for tag, engine in bench.ENGINES.items() if engine.search is lazy.BlockSearch}
 
 
 def heap_search(tag, x, absolute_set, k, pool=None):
     """Reference lazy search: refresh one stale entry at a time off a max-heap.
 
+    It drives the gain oracle of `bench.ENGINES[tag]` under its memo policy.
     Entries are (bound, stamp, pair); the top entry is refreshed and kept when
     it still beats the next one (pair order on equal gains), else pushed back.
     Returns the selected pairs and the refresh count per pick.
     """
     pi, pj = greedy.resolve_pool(x.shape[0], pool, k)
-    oracle = ORACLES[tag](x, absolute_set, k, pi, pj)
+    engine = bench.ENGINES[tag]
+    oracle = engine.oracle(x, absolute_set, LAM, pi, pj, k, engine.memo)
     index = {(int(i), int(j)): e for e, (i, j) in enumerate(zip(pi, pj))}
     heap = LazyHeap(HeapEntry(float(g), 0, pair) for g, pair in zip(oracle.initial(), index))
     selected, touches = [], []
@@ -57,8 +44,8 @@ def heap_search(tag, x, absolute_set, k, pool=None):
 
 
 def assert_matches_heap_oracle(x, absolute_set, k, pool=None):
-    for tag in ENGINES:
-        trace = bench.ENGINES[tag](x, absolute_set, k, LAM, pool=pool)
+    for tag, engine in LAZY.items():
+        trace = engine(x, absolute_set, k, LAM, pool=pool)
         selected, touches = heap_search(tag, x, absolute_set, k, pool)
         assert trace.selected == selected, tag
         assert trace.touch_counts[0] == touches[0] == 0, tag
@@ -67,9 +54,9 @@ def assert_matches_heap_oracle(x, absolute_set, k, pool=None):
 def test_lazy_engines_match_eager():
     for seed in range(5):
         x, absolute_set = random_instance(seed, n=30, d=6)
-        reference = greedy.naive_greedy(x, absolute_set, 8, LAM)
-        for tag, run in ENGINES.items():
-            trace = run(x, absolute_set, 8)
+        reference = bench.ENGINES["ng"](x, absolute_set, 8, LAM)
+        for tag, engine in LAZY.items():
+            trace = engine(x, absolute_set, 8, LAM)
             assert trace.selected == reference.selected, tag
             assert np.allclose(trace.gains, reference.gains, rtol=1e-8, atol=1e-9), tag
 
@@ -78,8 +65,8 @@ def test_touch_counts_bounded():
     x, absolute_set = random_instance(7, n=40, d=8)
     n_pairs = len(pair_list(40))
     k = 10
-    for tag, run in ENGINES.items():
-        trace = run(x, absolute_set, k)
+    for tag, engine in LAZY.items():
+        trace = engine(x, absolute_set, k, LAM)
         assert len(trace.touch_counts) == k
         assert trace.touch_counts[0] == 0, tag  # first pick needs no refresh
         assert all(0 <= t <= n_pairs for t in trace.touch_counts), tag
@@ -90,10 +77,10 @@ def test_touch_counts_bounded():
 def test_memo_counts_never_exceed_precompute_work():
     x, absolute_set = random_instance(9, n=50, d=6)
     k = 8
-    flm = lazy.factorization_lazy(x, absolute_set, k, LAM, mode="memoize")
+    flm = bench.ENGINES["flm"](x, absolute_set, k, LAM)
     assert flm.memo_counts is not None and len(flm.memo_counts) == k
     assert all(0 <= m <= 50 for m in flm.memo_counts)
-    slm = lazy.scalar_lazy(x, absolute_set, k, LAM, mode="memoize")
+    slm = bench.ENGINES["slm"](x, absolute_set, k, LAM)
     assert slm.memo_counts is not None
     # each iteration can fill at most one new history row per sample
     assert all(0 <= m <= 50 * k for m in slm.memo_counts)
@@ -179,7 +166,7 @@ def test_array_search_matches_heap_oracle_on_duplicate_rows():
         x, absolute_set = duplicate_row_instance(seed)
         # copies of a row give bitwise-equal gains against every other sample
         pi, pj = np.array([3, 5, 12]), np.array([9, 9, 9])
-        assert len(set(ORACLES["flp"](x, absolute_set, 1, pi, pj).initial().tolist())) == 1
+        assert len(set(greedy.FactorizationOracle(x, absolute_set, LAM, pi, pj, 1, "precompute").initial().tolist())) == 1
         ainv = design.init_design(x, absolute_set, LAM).ainv
         assert len(set(greedy.quadratic_gains(x, pi, pj, ainv).tolist())) == 1
         assert_matches_heap_oracle(x, absolute_set, 12)
@@ -193,7 +180,7 @@ def test_array_search_matches_heap_oracle_when_ties_straddle_the_block():
     x[0] = 10.0
     x[21:] = 0.1 * rng.uniform(-1.0, 1.0, size=(9, 5)) + 0.5
     pi, pj = design.pair_arrays(30)
-    gains0 = ORACLES["flp"](x, [], 1, pi, pj).initial()
+    gains0 = greedy.FactorizationOracle(x, [], LAM, pi, pj, 1, "precompute").initial()
     assert np.count_nonzero(gains0 == gains0.max()) > lazy._MIN_BLOCK
     assert_matches_heap_oracle(x, [], 12)
     assert_matches_heap_oracle(x, [21, 25], 12)
@@ -210,22 +197,22 @@ def test_array_search_matches_heap_oracle_when_tied_stale_bounds_straddle_the_bl
     x[20:, 1] = 2.0
     pool = [(p, q) for p in range(10) for q in range(10, 30)]
     assert_matches_heap_oracle(x, [], 4, pool=pool)
-    assert lazy.scalar_lazy(x, [], 2, LAM, pool=pool).selected == [(0, 10), (0, 20)]
+    assert bench.ENGINES["slp"](x, [], 2, LAM, pool=pool).selected == [(0, 10), (0, 20)]
 
 
-def test_mode_validation():
+def test_only_the_eager_search_records_gain_arrays():
     x, absolute_set = random_instance(3, n=10, d=3)
-    with pytest.raises(ValueError):
-        lazy.factorization_lazy(x, absolute_set, 2, LAM, mode="bogus")
-    with pytest.raises(ValueError):
-        lazy.scalar_lazy(x, absolute_set, 2, LAM, mode="bogus")
+    assert len(bench.ENGINES["fg"](x, absolute_set, 2, LAM, record_gain_arrays=True).gain_arrays) == 2
+    for engine in LAZY.values():
+        with pytest.raises(TypeError):
+            engine(x, absolute_set, 2, LAM, record_gain_arrays=True)
 
 
 def test_pool_restriction_and_k_guard():
     x, absolute_set = random_instance(5, n=15, d=4)
     pool = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    trace = lazy.scalar_lazy(x, absolute_set, 3, LAM, pool=pool)
-    eager = greedy.scalar_greedy(x, absolute_set, 3, LAM, pool=pool)
+    trace = bench.ENGINES["slp"](x, absolute_set, 3, LAM, pool=pool)
+    eager = bench.ENGINES["sg"](x, absolute_set, 3, LAM, pool=pool)
     assert trace.selected == eager.selected
     with pytest.raises(ValueError):
-        lazy.naive_lazy(x, absolute_set, 5, LAM, pool=pool)
+        bench.ENGINES["nl"](x, absolute_set, 5, LAM, pool=pool)

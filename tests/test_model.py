@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, xlogy
+from scipy.stats import rankdata
 
 from pairdesign import model
 from pairdesign.errors import DegenerateLabelSet, InstanceTooLarge
@@ -120,6 +126,28 @@ def test_auc_oracle_values():
     assert model.auc([0.1, 0.9], [-1, 1]) == 1.0
     assert model.auc([0.9, 0.1], [-1, 1]) == 0.0
     assert model.auc([0.5, 0.5], [1, -1]) == 0.5
+
+
+def test_auc_matches_the_rank_formula_on_tied_scores():
+    # the Mann-Whitney U statistic through average ranks, ties sharing a rank
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        scores = rng.integers(0, 6, n) / 4.0
+        labels = np.where(rng.random(n) < 0.5, 1, -1)
+        labels[:2] = (1, -1)
+        pos = labels == 1
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        ranks = rankdata(scores)
+        expected = float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        assert model.auc(scores, labels) == expected
+
+
+def test_import_leaves_scipy_stats_out():
+    code = "import sys, pairdesign; sys.exit('scipy.stats' in sys.modules)"
+    src = str(Path(model.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_auc_degenerate_labels():
