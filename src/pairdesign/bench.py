@@ -6,6 +6,7 @@ pool produces exactly the per-repeat results of serial execution, in order.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -81,10 +82,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
+        _check_design(self)
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if self.folds < 1:
@@ -101,12 +99,35 @@ class RunConfig:
             raise ConfigError(f"unknown report format {self.fmt!r}")
 
 
+def _check_design(config: RunConfig) -> None:
+    """Checks shared by every command: k, lambda and the synthetic shape."""
+    if config.k < 1:
+        raise ConfigError("k must be >= 1")
+    if not 0 < config.lam < math.inf:
+        raise ConfigError(f"lambda must be positive and finite, got {config.lam}")
+    if config.n is not None and config.n < 1:
+        raise ConfigError(f"synthetic n must be >= 1, got {config.n}")
+    if config.d is not None and config.d < 1:
+        raise ConfigError(f"synthetic d must be >= 1, got {config.d}")
+    if config.n_absolute < 0:
+        raise ConfigError(f"synthetic n-absolute must be >= 0, got {config.n_absolute}")
+
+
 def resolve_workers(config: RunConfig) -> int:
+    """Worker count from `--workers`, else `PAIRDESIGN_WORKERS`, else the CPU count."""
     if config.workers is not None:
-        return max(1, config.workers)
+        if config.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {config.workers}")
+        return config.workers
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+        if workers < 1:
+            raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
+        return workers
     return os.cpu_count() or 1
 
 
@@ -265,19 +286,21 @@ def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Rep
     Exit status 0 when at least 95% of instances agree exactly and every
     mismatch stays within the relative objective tolerance.
     """
-    if config.lam <= 0:
-        raise ConfigError("lambda must be positive")
+    _check_design(config)
+    workers = resolve_workers(config)  # checked also where the instances run inline
     if config.single:
         n = config.n or VERIFY_GRID[0][0]
         d = config.d or VERIFY_GRID[0][1]
         specs = [(0, config.seed, n, d, config.k, config.lam, config.n_absolute, engines)]
-        workers = 1
     else:
+        if config.instances < 1:
+            raise ConfigError(f"instances must be >= 1, got {config.instances}")
         specs = []
         for idx in range(config.instances):
             n, d = VERIFY_GRID[idx % len(VERIFY_GRID)]
             specs.append((idx, config.seed + idx, n, d, config.k, config.lam, config.n_absolute, engines))
-        workers = resolve_workers(config) if engines is None else 1
+    if config.single or engines is not None:
+        workers = 1
     results = _pmap(_verify_instance, specs, workers)
 
     exact_count = sum(1 for r in results if r["exact"])

@@ -131,8 +131,12 @@ def main(argv=None) -> int:
             _emit(rep, config)
             return EXIT_OK
         if args.command == "verify":
-            if config.n is None:
-                config.n, config.d = bench.VERIFY_GRID[0]
+            if not config.single and (config.n is not None or config.d is not None):
+                raise ConfigError("--n and --d set the shape of a --single instance; the sweep cycles its own shapes")
+            # the report records the first grid shape unless --single overrides it
+            default_n, default_d = bench.VERIFY_GRID[0]
+            config.n = default_n if config.n is None else config.n
+            config.d = default_d if config.d is None else config.d
             status, rep = bench.verify_equivalence(config)
             _emit(rep, config)
             print(f"verify: {'PASS' if status == 0 else 'FAIL'} "

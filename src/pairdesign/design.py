@@ -73,8 +73,8 @@ def design_matrix(x: np.ndarray, absolute_set, selected, lam: float) -> np.ndarr
 
 def init_design(x: np.ndarray, absolute_set, lam: float) -> DesignState:
     """Fresh state with S empty; inverts the base matrix directly."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     m = design_matrix(x, absolute_set, [], lam)
     return DesignState(ainv=linalg.invert_spd(m), lam=lam, absolute_set=list(absolute_set))
 

@@ -5,6 +5,9 @@ policy, run by the same greedy loop (`bench.ENGINES` lists the eight). The
 oracle yields d_e = x_e^T A^-1 x_e:
 
 * `NaiveOracle`: a fresh quadratic form per pair, O(|C| d^2) for all pairs;
+  for `ng` it holds the pool's difference rows x_i - x_j (|C| d 8 bytes)
+  for pools up to `_CHUNK` = 65,536 pairs and sweeps a larger pool chunk
+  by chunk, gathering the rows anew each iteration;
 * `FactorizationOracle`: factor A^-1 = U^T U once per iteration, on first
   use, map samples through U, then d_e = ||z_i - z_j||^2, O(N d^2 + |C| d)
   for all pairs;
@@ -81,8 +84,17 @@ def resolve_pool(n: int | None, pool, k: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def quadratic_gains(x: np.ndarray, pi: np.ndarray, pj: np.ndarray, ainv: np.ndarray) -> np.ndarray:
-    """d_e = (x_i - x_j)^T ainv (x_i - x_j) for every candidate, chunked."""
+def quadratic_gains(x: np.ndarray, pi: np.ndarray, pj: np.ndarray, ainv: np.ndarray,
+                    rows: np.ndarray | None = None) -> np.ndarray:
+    """d_e = (x_i - x_j)^T ainv (x_i - x_j) for every candidate.
+
+    Gathers the difference rows and sweeps them `_CHUNK` pairs at a time.
+    `rows` gives them instead, held: x[pi] - x[pj] of a pool of at most
+    `_CHUNK` pairs (|C| d 8 bytes), as `ng` keeps them for a run. The
+    product is then the one-chunk product of the sweep, bit for bit.
+    """
+    if rows is not None:
+        return np.einsum("ed,ed->e", rows @ ainv, rows)
     out = np.empty(len(pi))
     for s in range(0, len(pi), _CHUNK):
         e = s + _CHUNK
@@ -128,9 +140,20 @@ class GainOracle:
 
 
 class NaiveOracle(GainOracle):
-    """Gains as fresh quadratic forms x_e^T A^-1 x_e."""
+    """Gains as fresh quadratic forms x_e^T A^-1 x_e.
+
+    The first whole-pool refresh of a pool of at most `_CHUNK` pairs builds
+    the difference rows x_i - x_j, and later ones reuse them. Block
+    refreshes and larger pools gather the rows they need on each call.
+    """
+
+    rows = None  # the held difference rows, once built
 
     def refresh(self, b, it: int) -> np.ndarray:
+        if b is _ALL and len(self.pi) <= _CHUNK:
+            if self.rows is None:
+                self.rows = self.x[self.pi] - self.x[self.pj]
+            return quadratic_gains(self.x, self.pi, self.pj, self.state.ainv, rows=self.rows)
         return quadratic_gains(self.x, self.pi[b], self.pj[b], self.state.ainv)
 
 

@@ -166,3 +166,44 @@ def test_k_above_the_pool_is_a_usage_error_for_every_algorithm(capsys):
                          "--k", "500", "--folds", "1", "--workers", "1"])
         assert code == 2, algorithm
         assert "error: k=500 exceeds candidate pool of 36 pairs" in capsys.readouterr().err, algorithm
+
+
+_SELECT = ["select", "--synthetic", "n=10,d=2", "--workers", "1"]
+_SINGLE = ["verify", "--single", "--k", "3", "--workers", "1"]
+
+
+@pytest.mark.parametrize("argv, workers_env, message", [
+    (_SELECT + ["--lambda", "nan"], None, "lambda must be positive and finite"),
+    (_SELECT + ["--lambda", "inf"], None, "lambda must be positive and finite"),
+    (_SINGLE + ["--lambda", "nan"], None, "lambda must be positive and finite"),
+    (_SINGLE + ["--lambda", "inf"], None, "lambda must be positive and finite"),
+    (_SELECT + ["--synthetic", "n=20,d=0"], None, "synthetic d must be >= 1"),
+    (_SELECT + ["--synthetic", "n=-1,d=3"], None, "synthetic n must be >= 1"),
+    (_SELECT + ["--synthetic", "n=20,d=3,n-absolute=-1"], None, "synthetic n-absolute must be >= 0"),
+    (_SELECT + ["--workers", "0"], None, "--workers must be >= 1"),
+    (_SELECT + ["--workers", "-2"], None, "--workers must be >= 1"),
+    (_SINGLE + ["--workers", "0"], None, "--workers must be >= 1"),
+    (_SELECT[:-2], "abc", "PAIRDESIGN_WORKERS must be an integer"),
+    (_SELECT[:-2], "0", "PAIRDESIGN_WORKERS must be >= 1"),
+    (["verify", "--instances", "0", "--workers", "1"], None, "instances must be >= 1"),
+    (_SINGLE + ["--k", "0"], None, "k must be >= 1"),
+    (["verify", "--n", "15", "--instances", "1", "--workers", "1"], None, "--single"),
+    (["verify", "--d", "5", "--instances", "1", "--workers", "1"], None, "--single"),
+])
+def test_usage_error_names_the_bad_value(capsys, monkeypatch, argv, workers_env, message):
+    monkeypatch.delenv(bench.WORKERS_ENV, raising=False)
+    if workers_env is not None:
+        monkeypatch.setenv(bench.WORKERS_ENV, workers_env)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("flag, shape", [("--n", (15, 10)), ("--d", (50, 5))])
+def test_verify_single_honours_a_lone_shape_flag(tmp_path, flag, shape):
+    out = tmp_path / "v.json"
+    value = str(shape[0] if flag == "--n" else shape[1])
+    assert cli.main(["verify", "--single", flag, value, "--k", "3", "--workers", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert [(row["n"], row["d"]) for row in payload["rows"]] == [shape]
+    assert (payload["meta"]["config"]["n"], payload["meta"]["config"]["d"]) == shape

@@ -113,6 +113,13 @@ def test_init_design_rejects_nonpositive_lambda():
         design.init_design(x, absolute_set, 0.0)
 
 
+def test_init_design_rejects_nonfinite_lambda():
+    x, absolute_set = random_instance(5, n=6, d=3)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            design.init_design(x, absolute_set, lam)
+
+
 def test_brute_force_matches_independent_enumeration():
     x, absolute_set = random_instance(13, n=6, d=3)
     lam = 1e-4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairdesign import bench, design, greedy
+from pairdesign import bench, design, greedy, lazy
 
 from conftest import pair_list, random_instance
 
@@ -94,3 +94,51 @@ def test_timing_fields_populated():
     assert len(trace.update_seconds) == 5
     assert trace.total_seconds > 0.0
     assert len(trace.objective_deltas) == 5
+
+
+@pytest.mark.parametrize("explicit_pool", [False, True])
+def test_ng_held_rows_match_the_gather_path_bit_for_bit(explicit_pool):
+    x, absolute_set = random_instance(4, n=40, d=7)
+    pool = None
+    if explicit_pool:
+        rng = np.random.default_rng(4)
+        pool = [e for e in pair_list(40) if rng.random() < 0.4]
+    k = 9
+    trace = bench.ENGINES["ng"](x, absolute_set, k, LAM, pool=pool, record_gain_arrays=True)
+    pi, pj = greedy.resolve_pool(40, pool, k)
+    picked = np.zeros(len(pi), dtype=bool)
+    state = design.init_design(x, absolute_set, LAM)
+    for it, held in enumerate(trace.gain_arrays):
+        gathered = greedy.quadratic_gains(x, pi, pj, state.ainv)
+        gathered[picked] = -np.inf
+        assert held.tobytes() == gathered.tobytes(), it
+        e = trace.selected[it]
+        picked[np.flatnonzero((pi == e[0]) & (pj == e[1]))] = True
+        design.add_pair(state, x, e)
+
+
+def _naive_oracle_after_one_pick(search, x, absolute_set, k):
+    pi, pj = greedy.resolve_pool(x.shape[0], None, k)
+    oracle = greedy.NaiveOracle(x, absolute_set, LAM, pi, pj, k)
+    search.start(oracle)
+    search.pick(oracle, 0)
+    return oracle
+
+
+def test_multi_chunk_pool_holds_no_rows_and_selects_the_same(monkeypatch):
+    x, absolute_set = random_instance(11, n=30, d=6)
+    k = 8
+    expected = {tag: bench.ENGINES[tag](x, absolute_set, k, LAM) for tag in ("ng", "fg", "sg")}
+    assert _naive_oracle_after_one_pick(greedy.EagerSearch(), x, absolute_set, k).rows is not None
+    # 435 pairs in chunks of 7
+    monkeypatch.setattr(greedy, "_CHUNK", 7)
+    chunked = bench.ENGINES["ng"](x, absolute_set, k, LAM)
+    for tag, trace in expected.items():
+        assert chunked.selected == trace.selected, tag
+    assert np.allclose(chunked.gains, expected["ng"].gains, rtol=1e-12, atol=0)
+    assert _naive_oracle_after_one_pick(greedy.EagerSearch(), x, absolute_set, k).rows is None
+
+
+def test_block_refreshes_hold_no_rows():
+    x, absolute_set = random_instance(12, n=30, d=6)
+    assert _naive_oracle_after_one_pick(lazy.BlockSearch(), x, absolute_set, 5).rows is None
