@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigError("repeats must be >= 1")
         if self.folds < 1:
             raise ConfigError("folds must be >= 1")
+        if not 0 < self.map_lambda < math.inf:
+            raise ConfigError(f"map-lambda must be positive and finite, got {self.map_lambda}")
         if self.features_csv is None and self.n is None:
             raise ConfigError("either synthetic parameters (n, d) or --features are required")
         if self.features_csv is None and (self.n is None or self.d is None):
@@ -426,8 +428,14 @@ def run_evaluation(config: RunConfig) -> report.Report:
 
 
 def run_bench(config: RunConfig, algorithms: list[str]) -> report.Report:
-    """Timing harness: one discarded warm-up run, then timed repeats."""
+    """Timing harness: one discarded warm-up run, then timed repeats.
+
+    The calls run one at a time in this process, so a worker count is
+    rejected rather than ignored.
+    """
     config.validate()
+    if config.workers is not None:
+        raise ConfigError(f"--workers {config.workers} does not apply to bench, which times one call at a time")
     for tag in algorithms:
         if tag not in ENGINES:
             raise ConfigError(f"bench supports design engines only, got {tag!r}")

@@ -56,12 +56,13 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--comparisons", dest="comparisons_csv", metavar="CSV", help="comparison labels CSV (i,j,label); not supported yet, rejected")
 
 
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
+def _add_common_args(parser: argparse.ArgumentParser,
+                     workers_help: str = "worker processes (default: env or cpu count)") -> None:
     parser.add_argument("--k", type=int, default=20, help="number of comparisons to select")
     parser.add_argument("--lambda", dest="lam", type=float, default=1e-4, help="design ridge weight")
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument("--repeats", type=int, default=1, help="independent repeats")
-    parser.add_argument("--workers", type=int, default=None, help="worker processes (default: env or cpu count)")
+    parser.add_argument("--workers", type=int, default=None, help=workers_help)
     parser.add_argument("--out", metavar="PATH", help="write report to PATH")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="timing comparison across design engines")
     p_bench.add_argument("--algorithms", default="ng,fg,sg", help="comma-separated engine tags")
-    _add_common_args(p_bench)
+    _add_common_args(p_bench, workers_help="not accepted: bench times one call at a time, in this process")
     _add_dataset_args(p_bench)
 
     return parser

@@ -107,7 +107,16 @@ def factorization_gains(z: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.nda
     """d_e = ||z_i - z_j||^2 via the Gram matrix of the mapped samples."""
     gram = z @ z.T
     sq = np.einsum("nd,nd->n", z, z)
-    return sq[pi] + sq[pj] - 2.0 * gram[pi, pj]
+    # gram[pi, pj] through flat indices: the same values, a cheaper gather
+    return sq[pi] + sq[pj] - 2.0 * np.take(gram, pi * len(z) + pj)
+
+
+def _distinct(samples: np.ndarray, n: int) -> np.ndarray:
+    """np.unique(samples) for sample indices below `n`: the sorted distinct
+    samples, read off a length-`n` mask instead of a sort."""
+    mask = np.zeros(n, dtype=bool)
+    mask[samples] = True
+    return np.flatnonzero(mask)
 
 
 class GainOracle:
@@ -198,8 +207,10 @@ class FactorizationOracle(GainOracle):
         Each row is its own matrix-vector product: one matrix product over
         the batch rounds a row differently depending on the other rows, and a
         row's value must not depend on which samples were missing with it.
+        The samples are deduplicated through a length-N mask, not a sort.
         """
-        missing = np.unique(samples[self._mapped[samples] != it])
+        samples = _distinct(samples, len(self._mapped))
+        missing = samples[self._mapped[samples] != it]
         if missing.size:
             self.z[missing] = np.matmul(self.u, self.x[missing, :, None])[:, :, 0]
             self._mapped[missing] = it
@@ -256,8 +267,9 @@ class ScalarOracle(GainOracle):
 
     def fill(self, samples: np.ndarray, stop: int) -> None:
         """Fill rho_{l,s} for l < stop and every s in `samples`, computing
-        only the entries not filled yet; v_l is fixed once iteration l ends."""
-        samples = np.unique(samples)
+        only the entries not filled yet; v_l is fixed once iteration l ends.
+        The samples are deduplicated through a length-N mask, not a sort."""
+        samples = _distinct(samples, self.rho.shape[1])
         rows, cols = np.nonzero(~self._filled[:stop, samples])
         if rows.size == 0:
             return

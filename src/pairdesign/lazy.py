@@ -2,15 +2,18 @@
 
 Submodularity makes every stored gain an upper bound on the pair's current
 gain (Minoux's accelerated greedy). The search keeps one bound and one
-refresh stamp per candidate pair, in lexicographic pool order. A pick first
-refreshes the stale entries among the largest live bounds in one vectorised
-call; that block takes half as many entries as the previous pick needed.
-Further blocks refresh the stale entries whose bounds still reach the best
-fresh gain, at most as many as were refreshed so far and the largest first,
-until none is left. The best fresh gain then beats every stale bound, and on
-equal values the smaller pool index, which is the smaller pair, wins: the
-acceptance rule of a one-at-a-time max-heap search, which the tests keep as
-a reference.
+refresh stamp per candidate pair, in lexicographic pool order. At the first
+pick every bound is exact and the largest wins outright. A later pick starts
+with every live entry stale and first refreshes the largest live bounds in
+one vectorised call; that block takes half as many entries as the previous
+pick needed. Each refreshed entry is then fresh and its bound is at most the
+best fresh gain, so the next block is read off the bounds alone: the
+entries above the best gain, or equal to it at a smaller pool index than the
+one holding it, which are all stale. A block takes at most as many entries
+as were refreshed so far, the largest first, and the pick ends when none is
+left. The best fresh gain then beats every stale bound, and on equal values
+the smaller pool index, which is the smaller pair, wins: the acceptance rule
+of a one-at-a-time max-heap search, which the tests keep as a reference.
 
 The lazy engines of `bench.ENGINES` run this search over the gain oracles
 of `greedy.py`:
@@ -37,27 +40,32 @@ from .heap import LazyHeap  # noqa: F401
 _MIN_BLOCK = 16
 
 
-def _checked_stamps(stamp: np.ndarray, b: np.ndarray, it: int) -> np.ndarray:
+def _checked_stamps(stamp: np.ndarray, b: np.ndarray, it: int) -> None:
     stamps = stamp[b]
     if stamps.size and stamps.max() > it:
         at = int(stamps.argmax())
         raise StaleStampCorruption(f"entry {int(b[at])} stamped {int(stamps[at])} at iteration {it}")
-    return stamps
 
 
-def _pending(b: np.ndarray, bound: np.ndarray, stamp: np.ndarray, it: int, gain: float):
-    """Acceptance rule for the best fresh `gain` of iteration `it`.
+def _accept(bound: np.ndarray, b: np.ndarray, values: np.ndarray, gain: float, best: int):
+    """Acceptance rule: fold the refreshed `values` of entries `b` into the
+    best fresh `gain` of the pick, held at pool index `best`.
 
-    `b` must hold every live entry whose bound reaches `gain`. Returns the
-    stale entries of `b` that could still beat it, and the winner should
-    there be none: the smallest pool index holding `gain` among fresh
-    entries. A stale bound above the gain might beat it; a stale bound equal
-    to it beats it only at a smaller index, which is the smaller pair.
+    Returns the new gain and best, the smallest pool index holding it, and
+    the entries that could still beat it, in index order: the bounds above
+    the gain, and those equal to it before `best`. Every entry refreshed in
+    the pick has a bound at most the gain, equal to it only from `best` on,
+    so all of these are stale. A stale bound above the gain might beat it;
+    one equal to it beats it only at a smaller index, the smaller pair.
     """
-    values = bound[b]
-    stale = _checked_stamps(stamp, b, it) < it
-    first = b[~stale & (values == gain)].min()
-    return b[stale & ((values > gain) | ((values == gain) & (b < first)))], int(first)
+    top = values.max()
+    if top >= gain:
+        at = int(b[values == top].min())
+        best = at if top > gain else min(best, at)
+        gain = top
+    above = np.flatnonzero(bound[best + 1:] > gain)
+    above += best + 1
+    return gain, best, np.concatenate((np.flatnonzero(bound[:best] >= gain), above))
 
 
 class BlockSearch:
@@ -73,34 +81,36 @@ class BlockSearch:
 
     def pick(self, oracle, it: int) -> tuple[int, float]:
         bound, stamp = self.bound, self.stamp
-        n_pairs = len(bound)
-        live = n_pairs - it
-        if self.block < live:
-            b = np.argpartition(bound, n_pairs - self.block)[n_pairs - self.block:]
-        else:
-            b = np.flatnonzero(bound != -np.inf)
         touches = 0
-        gain = -np.inf
-        old_bounds = []
-        while b.size:
-            stale = b[_checked_stamps(stamp, b, it) < it]
-            if stale.size:
-                old = bound[stale]
-                bound[stale] = oracle.refresh(stale, it)
-                stamp[stale] = it
-                touches += stale.size
-                old_bounds.append(old)
-            gain = max(gain, bound[b].max())
-            b, best = _pending(np.flatnonzero(bound >= gain), bound, stamp, it, gain)
-            # refresh at most as many again, those with the largest bounds
-            cap = max(_MIN_BLOCK, touches)
-            if b.size > cap:
-                b = b[np.argpartition(bound[b], b.size - cap)[b.size - cap:]]
-        # a one-at-a-time search refreshes every stale bound that reaches the
-        # winning gain; the next first block takes half as many
-        needed = sum(int(np.count_nonzero(old >= gain)) for old in old_bounds)
-        self.block = max(_MIN_BLOCK, needed // 2)
+        if it == 0:
+            # every bound is exact; argmax takes the first, smallest pair of the largest
+            best = int(np.argmax(bound))
+            gain = bound[best]
+        else:
+            # every live entry is stale: its stamp is below `it`
+            n_pairs = len(bound)
+            if self.block < n_pairs - it:
+                b = np.argpartition(bound, n_pairs - self.block)[n_pairs - self.block:]
+            else:
+                b = np.flatnonzero(bound != -np.inf)
+            gain, best = -np.inf, n_pairs
+            old_bounds = []
+            while b.size:
+                _checked_stamps(stamp, b, it)
+                old_bounds.append(bound[b])
+                values = oracle.refresh(b, it)
+                bound[b] = values
+                stamp[b] = it
+                touches += b.size
+                gain, best, b = _accept(bound, b, values, gain, best)
+                # refresh at most as many again, those with the largest bounds
+                cap = max(_MIN_BLOCK, touches)
+                if b.size > cap:
+                    b = b[np.argpartition(bound[b], b.size - cap)[b.size - cap:]]
+            # a one-at-a-time search refreshes every stale bound that reaches
+            # the winning gain; the next first block takes half as many
+            needed = sum(int(np.count_nonzero(old >= gain)) for old in old_bounds)
+            self.block = max(_MIN_BLOCK, needed // 2)
         self.touch_counts.append(touches)
         bound[best] = -np.inf
         return best, float(gain)
-

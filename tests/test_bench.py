@@ -112,7 +112,7 @@ def test_evaluation_labels_are_query_order_independent():
 
 
 def test_run_bench_warms_up_and_reports():
-    config = bench.RunConfig(n=20, d=3, k=4, repeats=2, workers=1)
+    config = bench.RunConfig(n=20, d=3, k=4, repeats=2)
     rep = bench.run_bench(config, ["fg", "sg"])
     assert len(rep.rows) == 4
     assert {row["algorithm"] for row in rep.rows} == {"fg", "sg"}

@@ -78,8 +78,7 @@ def test_evaluate(tmp_path):
 def test_bench(tmp_path):
     out = tmp_path / "bench.json"
     code = cli.main(
-        ["bench", "--algorithms", "fg,sg", "--k", "3", "--synthetic", "n=15,d=3",
-         "--out", str(out), "--workers", "1"]
+        ["bench", "--algorithms", "fg,sg", "--k", "3", "--synthetic", "n=15,d=3", "--out", str(out)]
     )
     assert code == 0
     assert len(json.loads(out.read_text())["rows"]) == 2
@@ -170,6 +169,7 @@ def test_k_above_the_pool_is_a_usage_error_for_every_algorithm(capsys):
 
 _SELECT = ["select", "--synthetic", "n=10,d=2", "--workers", "1"]
 _SINGLE = ["verify", "--single", "--k", "3", "--workers", "1"]
+_EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--k", "3", "--folds", "1", "--workers", "1"]
 
 
 @pytest.mark.parametrize("argv, workers_env, message", [
@@ -189,6 +189,12 @@ _SINGLE = ["verify", "--single", "--k", "3", "--workers", "1"]
     (_SINGLE + ["--k", "0"], None, "k must be >= 1"),
     (["verify", "--n", "15", "--instances", "1", "--workers", "1"], None, "--single"),
     (["verify", "--d", "5", "--instances", "1", "--workers", "1"], None, "--single"),
+    (_EVALUATE + ["--map-lambda", "nan"], None, "map-lambda must be positive and finite"),
+    (_EVALUATE + ["--map-lambda", "inf"], None, "map-lambda must be positive and finite"),
+    (_EVALUATE + ["--map-lambda", "0"], None, "map-lambda must be positive and finite"),
+    (_EVALUATE + ["--map-lambda", "-1"], None, "map-lambda must be positive and finite"),
+    (["bench", "--algorithms", "sg", "--k", "3", "--synthetic", "n=20,d=3", "--workers", "0"], None, "--workers"),
+    (["bench", "--algorithms", "sg", "--k", "3", "--synthetic", "n=20,d=3", "--workers", "1"], None, "--workers"),
 ])
 def test_usage_error_names_the_bad_value(capsys, monkeypatch, argv, workers_env, message):
     monkeypatch.delenv(bench.WORKERS_ENV, raising=False)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,90 @@ def heap_search(tag, x, absolute_set, k, pool=None):
         touches.append(count)
         oracle.update(entry.pair, it)
     return selected, touches
+
+
+class ReferenceBlockSearch(lazy.BlockSearch):
+    """Reference block search, the long way round.
+
+    Each round refreshes the stale entries of the block, then re-reads every
+    live bound that reaches the best gain, with its stamp, to find the stale
+    entries that could still beat it. `lazy.BlockSearch` reads the next block
+    off the bounds alone, and must refresh exactly the same entries in the
+    same blocks.
+    """
+
+    @staticmethod
+    def pending(b, bound, stamp, it, gain):
+        values = bound[b]
+        stamps = stamp[b]
+        if stamps.size and stamps.max() > it:
+            raise StaleStampCorruption(f"entry {int(b[stamps.argmax()])} stamped in the future")
+        stale = stamps < it
+        first = b[~stale & (values == gain)].min()
+        return b[stale & ((values > gain) | ((values == gain) & (b < first)))], int(first)
+
+    def pick(self, oracle, it):
+        bound, stamp = self.bound, self.stamp
+        n_pairs = len(bound)
+        if self.block < n_pairs - it:
+            b = np.argpartition(bound, n_pairs - self.block)[n_pairs - self.block:]
+        else:
+            b = np.flatnonzero(bound != -np.inf)
+        touches = 0
+        gain = -np.inf
+        old_bounds = []
+        while b.size:
+            stale = b[stamp[b] < it]
+            if stale.size:
+                old_bounds.append(bound[stale])
+                bound[stale] = oracle.refresh(stale, it)
+                stamp[stale] = it
+                touches += stale.size
+            gain = max(gain, bound[b].max())
+            b, best = self.pending(np.flatnonzero(bound >= gain), bound, stamp, it, gain)
+            cap = max(lazy._MIN_BLOCK, touches)
+            if b.size > cap:
+                b = b[np.argpartition(bound[b], b.size - cap)[b.size - cap:]]
+        needed = sum(int(np.count_nonzero(old >= gain)) for old in old_bounds)
+        self.block = max(lazy._MIN_BLOCK, needed // 2)
+        self.touch_counts.append(touches)
+        bound[best] = -np.inf
+        return best, float(gain)
+
+
+def straddling_ties():
+    """Rows 1-20 coincide and row 0 lies far from them, so the 20 pairs
+    (0, m) share the largest initial gain: the first block takes only some."""
+    rng = np.random.default_rng(5)
+    x = np.zeros((30, 5))
+    x[0] = 10.0
+    x[21:] = 0.1 * rng.uniform(-1.0, 1.0, size=(9, 5)) + 0.5
+    return x
+
+
+def straddling_stale_ties():
+    """Rows 0-9 sit at the origin, rows 10-19 at 3 e1 and rows 20-29 at 2 e2;
+    the pool pairs the origin rows with each group, 100 pairs per axis.
+
+    The first pick lies along e1, which leaves the 100 gains along e2
+    unchanged: their stale bounds tie with every refreshed gain, and only
+    the smallest pair may win though the first block holds 16 of them.
+    """
+    x = np.zeros((30, 3))
+    x[10:20, 0] = 3.0
+    x[20:, 1] = 2.0
+    pool = [(p, q) for p in range(10) for q in range(10, 30)]
+    return x, pool
+
+
+def assert_matches_reference_blocks(x, absolute_set, k, pool=None):
+    for tag, engine in LAZY.items():
+        trace = engine(x, absolute_set, k, LAM, pool=pool)
+        ref = dataclasses.replace(engine, search=ReferenceBlockSearch)(x, absolute_set, k, LAM, pool=pool)
+        assert trace.selected == ref.selected, tag
+        assert np.array_equal(trace.gains, ref.gains), tag
+        assert trace.touch_counts == ref.touch_counts, tag
+        assert trace.memo_counts == ref.memo_counts, tag
 
 
 def assert_matches_heap_oracle(x, absolute_set, k, pool=None):
@@ -134,10 +220,10 @@ def test_accepts_tie_rule():
     # a fresh gain at pool index `at` against a stale bound of 2.0 at index 3
     def pending(gain, at):
         bound = np.array([0.5, 0.5, 0.5, 2.0, 0.5, 0.5, 0.5, 0.5])
-        stamp = np.ones(8, dtype=np.intp)
-        stamp[3] = 0
         bound[at] = gain
-        return lazy._pending(np.arange(8), bound, stamp, 1, gain)
+        fresh = np.flatnonzero(np.arange(8) != 3)
+        gain, best, b = lazy._accept(bound, fresh, bound[fresh], -np.inf, 8)
+        return b, best
 
     assert pending(2.5, 6)[0].size == 0 and pending(2.5, 6)[1] == 6
     assert pending(2.0, 1)[0].size == 0 and pending(2.0, 1)[1] == 1
@@ -145,11 +231,41 @@ def test_accepts_tie_rule():
     assert pending(1.9, 0)[0].tolist() == [3]
 
 
+class _ConstantOracle:
+    def refresh(self, b, it):
+        return np.full(len(b), 0.5)
+
+
 def test_pending_rejects_future_stamps():
-    bound = np.array([1.0, 2.0, 3.0])
-    stamp = np.array([2, 2, 5])
+    # in the first block of a pick
+    search = lazy.BlockSearch()
+    search.bound, search.stamp = np.array([1.0, 2.0, 3.0]), np.array([1, 1, 5])
+    search.block, search.touch_counts = lazy._MIN_BLOCK, []
     with pytest.raises(StaleStampCorruption):
-        lazy._pending(np.arange(3), bound, stamp, 2, 1.0)
+        search.pick(_ConstantOracle(), 2)
+    # in a block queued after it: entries 0-3 lie outside the first block of
+    # 16, and their bounds still beat the refreshed gain of 0.5
+    search.bound, search.stamp = np.arange(20) + 1.0, np.ones(20, dtype=np.intp)
+    search.stamp[2] = 5
+    with pytest.raises(StaleStampCorruption):
+        search.pick(_ConstantOracle(), 2)
+    assert np.all(search.stamp[4:] == 2) and np.all(search.stamp[[0, 1, 3]] == 1)
+
+
+def test_block_rounds_match_the_reference_search():
+    for seed in range(4):
+        x, absolute_set = random_instance(seed, n=30, d=6)
+        assert_matches_reference_blocks(x, absolute_set, 10)
+    for seed in range(3):
+        assert_matches_reference_blocks(*duplicate_row_instance(seed), 12)
+    x = straddling_ties()
+    assert_matches_reference_blocks(x, [], 12)
+    assert_matches_reference_blocks(x, [21, 25], 12)
+    x, pool = straddling_stale_ties()
+    assert_matches_reference_blocks(x, [], 4, pool=pool)
+    x, absolute_set = random_instance(11, n=24, d=5)
+    pool = [(i, j) for i in range(24) for j in range(i + 1, 24) if (i + j) % 3]
+    assert_matches_reference_blocks(x, absolute_set, 12, pool=pool)
 
 
 def test_array_search_matches_heap_oracle_on_gaussian_instances():
@@ -173,12 +289,7 @@ def test_array_search_matches_heap_oracle_on_duplicate_rows():
 
 
 def test_array_search_matches_heap_oracle_when_ties_straddle_the_block():
-    # rows 1-20 coincide and row 0 lies far from them, so the 20 pairs (0, m)
-    # share the largest initial gain: the first block takes only some of them
-    rng = np.random.default_rng(5)
-    x = np.zeros((30, 5))
-    x[0] = 10.0
-    x[21:] = 0.1 * rng.uniform(-1.0, 1.0, size=(9, 5)) + 0.5
+    x = straddling_ties()
     pi, pj = design.pair_arrays(30)
     gains0 = greedy.FactorizationOracle(x, [], LAM, pi, pj, 1, "precompute").initial()
     assert np.count_nonzero(gains0 == gains0.max()) > lazy._MIN_BLOCK
@@ -187,15 +298,7 @@ def test_array_search_matches_heap_oracle_when_ties_straddle_the_block():
 
 
 def test_array_search_matches_heap_oracle_when_tied_stale_bounds_straddle_the_block():
-    # rows 0-9 sit at the origin, rows 10-19 at 3 e1 and rows 20-29 at 2 e2;
-    # the pool pairs the origin rows with each group, 100 pairs per axis.
-    # The first pick lies along e1, which leaves the 100 gains along e2
-    # unchanged: their stale bounds tie with every refreshed gain, and only
-    # the smallest pair may win though the first block holds 16 of them.
-    x = np.zeros((30, 3))
-    x[10:20, 0] = 3.0
-    x[20:, 1] = 2.0
-    pool = [(p, q) for p in range(10) for q in range(10, 30)]
+    x, pool = straddling_stale_ties()
     assert_matches_heap_oracle(x, [], 4, pool=pool)
     assert bench.ENGINES["slp"](x, [], 2, LAM, pool=pool).selected == [(0, 10), (0, 20)]
 
