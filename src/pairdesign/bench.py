@@ -102,7 +102,7 @@ class RunConfig:
 
 
 def _check_design(config: RunConfig) -> None:
-    """Checks shared by every command: k, lambda and the synthetic shape."""
+    """Checks shared by every command: k, lambda and the synthetic parameters."""
     if config.k < 1:
         raise ConfigError("k must be >= 1")
     if not 0 < config.lam < math.inf:
@@ -113,6 +113,9 @@ def _check_design(config: RunConfig) -> None:
         raise ConfigError(f"synthetic d must be >= 1, got {config.d}")
     if config.n_absolute < 0:
         raise ConfigError(f"synthetic n-absolute must be >= 0, got {config.n_absolute}")
+    for key, value in (("sigma-x", config.sigma_x), ("sigma-beta", config.sigma_beta), ("c-a", config.c_a)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"synthetic {key} must be positive and finite, got {value}")
 
 
 def resolve_workers(config: RunConfig) -> int:
@@ -416,6 +419,8 @@ def run_evaluation(config: RunConfig) -> report.Report:
     config.validate()
     if config.features_csv is not None:
         raise ConfigError("evaluation currently supports synthetic datasets only")
+    if config.folds > config.n:
+        raise ConfigError(f"--folds {config.folds} exceeds the {config.n} synthetic samples: a test fold would be empty")
     workers = resolve_workers(config)
     nested = _pmap(_evaluation_repeat, [(config, r) for r in range(config.repeats)], workers)
     rows = [row for chunk in nested for row in chunk]
@@ -436,6 +441,8 @@ def run_bench(config: RunConfig, algorithms: list[str]) -> report.Report:
     config.validate()
     if config.workers is not None:
         raise ConfigError(f"--workers {config.workers} does not apply to bench, which times one call at a time")
+    if not algorithms:
+        raise ConfigError("--algorithms names no engine")
     for tag in algorithms:
         if tag not in ENGINES:
             raise ConfigError(f"bench supports design engines only, got {tag!r}")

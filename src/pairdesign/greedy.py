@@ -4,10 +4,11 @@ Every engine is one `Engine`: a search driving a gain oracle under a memo
 policy, run by the same greedy loop (`bench.ENGINES` lists the eight). The
 oracle yields d_e = x_e^T A^-1 x_e:
 
-* `NaiveOracle`: a fresh quadratic form per pair, O(|C| d^2) for all pairs;
-  for `ng` it holds the pool's difference rows x_i - x_j (|C| d 8 bytes)
-  for pools up to `_CHUNK` = 65,536 pairs and sweeps a larger pool chunk
-  by chunk, gathering the rows anew each iteration;
+* `NaiveOracle`: a fresh quadratic form per pair, O(|C| d^2) for all pairs,
+  swept in blocks of about 256 KiB of difference rows x_i - x_j, so that
+  a block and its product stay in cache; for `ng` it holds the pool's
+  rows (|C| d 8 bytes) for pools up to `_CHUNK` = 65,536 pairs, and a
+  larger pool gathers each block's rows anew each iteration;
 * `FactorizationOracle`: factor A^-1 = U^T U once per iteration, on first
   use, map samples through U, then d_e = ||z_i - z_j||^2, O(N d^2 + |C| d)
   for all pairs;
@@ -42,9 +43,13 @@ from .design import Pair, comparison_feature, init_design, pair_arrays
 from .errors import InvalidPool
 from .trace import SelectionTrace
 
-# Pairs processed per block in the chunked quadratic-form sweep; bounds the
-# (chunk x d) scratch arrays.
+# Largest pool whose difference rows `NaiveOracle` holds for a run (|C| d
+# 8 bytes); a larger pool gathers each sweep block's rows anew.
 _CHUNK = 65536
+
+# Entries (8 bytes each) of one block of the quadratic-form sweep: 256 KiB of
+# difference rows, so that a block and its product share a core's L2.
+_BLOCK = 32768
 
 # The whole pool, as an index that `refresh` can take: a view, not a gather.
 _ALL = slice(None)
@@ -84,22 +89,74 @@ def resolve_pool(n: int | None, pool, k: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _blocks(n: int, d: int) -> list[tuple[int, int]]:
+    """Bounds (s, e) of the sweep blocks over `n` rows of width `d`.
+
+    Each block takes at most `_BLOCK // d` rows, and the blocks are balanced
+    so that none is a single row when `n` > 1: numpy multiplies a one-row
+    block by the matrix-vector path, which rounds differently from the same
+    row inside a larger product. A bound of 3 or more rows keeps every
+    balanced block at 2 or more.
+    """
+    count = -(-n // max(3, _BLOCK // d)) or 1
+    edges = [n * b // count for b in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _gather_rows(x: np.ndarray, pi: np.ndarray, pj: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = x[pi] - x[pj], through the scratch `tmp` of the same shape.
+
+    The indices are valid (see `resolve_pool`), so `take` runs unchecked
+    and writes straight into `out` rather than through a copy of it.
+    """
+    np.take(x, pi, axis=0, out=out, mode="clip")
+    np.take(x, pj, axis=0, out=tmp, mode="clip")
+    np.subtract(out, tmp, out=out)
+
+
+def difference_rows(x: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
+    """x[pi] - x[pj] (|C| d entries), gathered block by block into one array."""
+    rows = np.empty((len(pi), x.shape[1]), dtype=x.dtype)
+    blocks = _blocks(len(pi), x.shape[1])
+    tmp = np.empty((max(e - s for s, e in blocks), x.shape[1]), dtype=x.dtype)
+    for s, e in blocks:
+        _gather_rows(x, pi[s:e], pj[s:e], rows[s:e], tmp[:e - s])
+    return rows
+
+
 def quadratic_gains(x: np.ndarray, pi: np.ndarray, pj: np.ndarray, ainv: np.ndarray,
                     rows: np.ndarray | None = None) -> np.ndarray:
     """d_e = (x_i - x_j)^T ainv (x_i - x_j) for every candidate.
 
-    Gathers the difference rows and sweeps them `_CHUNK` pairs at a time.
-    `rows` gives them instead, held: x[pi] - x[pj] of a pool of at most
-    `_CHUNK` pairs (|C| d 8 bytes), as `ng` keeps them for a run. The
-    product is then the one-chunk product of the sweep, bit for bit.
+    Sweeps the pool in blocks of about 256 KiB of difference rows (see
+    `_blocks`). Each block's product goes into one scratch array reused
+    across blocks and its gains straight into the result, so the sweep
+    allocates a few blocks' worth of scratch whatever the pool's size.
+    A block's rows are gathered into reused scratch as well, unless `rows`
+    gives them, held: x[pi] - x[pj], as `ng` keeps them for a run. Held or
+    gathered, every block of 2 or more rows rounds each gain as one product
+    over the whole pool would, bit for bit.
+
+    A pool of one block, such as a lazy refresh's, is one product with no
+    scratch to reuse: it skips the blocking's few microseconds of set-up.
     """
-    if rows is not None:
-        return np.einsum("ed,ed->e", rows @ ainv, rows)
+    if len(pi) * x.shape[1] <= _BLOCK:
+        diff = x[pi] - x[pj] if rows is None else rows
+        return np.einsum("ed,ed->e", diff @ ainv, diff)
     out = np.empty(len(pi))
-    for s in range(0, len(pi), _CHUNK):
-        e = s + _CHUNK
-        diff = x[pi[s:e]] - x[pj[s:e]]
-        out[s:e] = np.einsum("ed,ed->e", diff @ ainv, diff)
+    blocks = _blocks(len(pi), x.shape[1])
+    shape = (max(e - s for s, e in blocks), x.shape[1])
+    prod = np.empty(shape)
+    if rows is None:
+        diff, tmp = np.empty(shape, dtype=x.dtype), np.empty(shape, dtype=x.dtype)
+    for s, e in blocks:
+        if rows is None:
+            block = diff[:e - s]
+            _gather_rows(x, pi[s:e], pj[s:e], block, tmp[:e - s])
+        else:
+            block = rows[s:e]
+        p = np.matmul(block, ainv, out=prod[:e - s])
+        np.einsum("ed,ed->e", p, block, out=out[s:e])
     return out
 
 
@@ -149,11 +206,12 @@ class GainOracle:
 
 
 class NaiveOracle(GainOracle):
-    """Gains as fresh quadratic forms x_e^T A^-1 x_e.
+    """Gains as fresh quadratic forms x_e^T A^-1 x_e, swept in blocks.
 
     The first whole-pool refresh of a pool of at most `_CHUNK` pairs builds
-    the difference rows x_i - x_j, and later ones reuse them. Block
-    refreshes and larger pools gather the rows they need on each call.
+    the difference rows x_i - x_j block by block into one array, and later
+    ones reuse it. Block refreshes and larger pools gather the rows of each
+    sweep block into reused scratch on each call.
     """
 
     rows = None  # the held difference rows, once built
@@ -161,7 +219,7 @@ class NaiveOracle(GainOracle):
     def refresh(self, b, it: int) -> np.ndarray:
         if b is _ALL and len(self.pi) <= _CHUNK:
             if self.rows is None:
-                self.rows = self.x[self.pi] - self.x[self.pj]
+                self.rows = difference_rows(self.x, self.pi, self.pj)
             return quadratic_gains(self.x, self.pi, self.pj, self.state.ainv, rows=self.rows)
         return quadratic_gains(self.x, self.pi[b], self.pj[b], self.state.ainv)
 

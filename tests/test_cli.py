@@ -195,6 +195,16 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
     (_EVALUATE + ["--map-lambda", "-1"], None, "map-lambda must be positive and finite"),
     (["bench", "--algorithms", "sg", "--k", "3", "--synthetic", "n=20,d=3", "--workers", "0"], None, "--workers"),
     (["bench", "--algorithms", "sg", "--k", "3", "--synthetic", "n=20,d=3", "--workers", "1"], None, "--workers"),
+    (_SELECT + ["--synthetic", "n=6,d=2,sigma-x=0", "--k", "2"], None, "synthetic sigma-x must be positive and finite"),
+    (_SELECT + ["--synthetic", "n=6,d=2,sigma-x=nan", "--k", "2"], None, "synthetic sigma-x must be positive and finite"),
+    (_SELECT + ["--synthetic", "n=6,d=2,c-a=-1", "--k", "2"], None, "synthetic c-a must be positive and finite"),
+    (_SELECT + ["--synthetic", "n=6,d=2,c-a=inf", "--k", "2"], None, "synthetic c-a must be positive and finite"),
+    (_SELECT + ["--synthetic", "n=6,d=2,sigma-beta=inf", "--k", "2", "--algorithm", "entropy"], None,
+     "synthetic sigma-beta must be positive and finite"),
+    (_SELECT + ["--synthetic", "n=6,d=2,sigma-beta=0", "--k", "2"], None, "synthetic sigma-beta must be positive and finite"),
+    (_EVALUATE[:-4] + ["--folds", "21", "--workers", "1"], None, "--folds 21 exceeds the 20 synthetic samples"),
+    (["bench", "--algorithms", "", "--k", "3", "--synthetic", "n=20,d=3"], None, "--algorithms names no engine"),
+    (["bench", "--algorithms", ",,", "--k", "3", "--synthetic", "n=20,d=3"], None, "--algorithms names no engine"),
 ])
 def test_usage_error_names_the_bad_value(capsys, monkeypatch, argv, workers_env, message):
     monkeypatch.delenv(bench.WORKERS_ENV, raising=False)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pairdesign import bench, design, greedy, lazy
 
-from conftest import pair_list, random_instance
+from conftest import pair_list, random_instance, random_spd
 
 LAM = 1e-4
 
@@ -142,3 +144,49 @@ def test_multi_chunk_pool_holds_no_rows_and_selects_the_same(monkeypatch):
 def test_block_refreshes_hold_no_rows():
     x, absolute_set = random_instance(12, n=30, d=6)
     assert _naive_oracle_after_one_pick(lazy.BlockSearch(), x, absolute_set, 5).rows is None
+
+
+@pytest.mark.parametrize("d", [2, 10, 48, 96, 128])
+def test_blocked_sweep_matches_one_product_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(60, d))
+    ainv = np.linalg.inv(random_spd(rng, d))
+    rows_per_block = greedy._BLOCK // d
+    # one block short, one full block, a one-row tail, two blocks and a row
+    for m in (rows_per_block - 1, rows_per_block, rows_per_block + 1, 2 * rows_per_block + 1):
+        blocks = greedy._blocks(m, d)
+        assert (len(blocks) > 1) == (m > rows_per_block), m
+        assert min(e - s for s, e in blocks) >= 2, m
+        pi, pj = rng.integers(0, 60, size=(2, m))
+        diff = x[pi] - x[pj]
+        reference = np.einsum("ed,ed->e", diff @ ainv, diff)
+        gathered = greedy.quadratic_gains(x, pi, pj, ainv)
+        held = greedy.quadratic_gains(x, pi, pj, ainv, rows=greedy.difference_rows(x, pi, pj))
+        assert gathered.tobytes() == reference.tobytes(), m
+        assert held.tobytes() == reference.tobytes(), m
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_sweep_scratch_is_a_few_blocks(held):
+    # 20,000 pairs at d=48: 7.7 MB of difference rows, 30 sweep blocks
+    rng = np.random.default_rng(6)
+    d = 48
+    x = rng.normal(size=(200, d))
+    pi, pj = rng.integers(0, 200, size=(2, 20000))
+    ainv = np.linalg.inv(random_spd(rng, d))
+    block_bytes = 256 * 1024  # one sweep block of difference rows
+    tracemalloc.start()
+    try:
+        rows = greedy.difference_rows(x, pi, pj) if held else None
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        greedy.quadratic_gains(x, pi, pj, ainv, rows=rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if held:
+        # the held rows themselves, plus one block of gather scratch
+        assert build_peak < rows.nbytes + 2 * block_bytes
+    # up to three blocks of scratch plus the 160 KB of gains
+    assert peak - base < 5 * block_bytes
