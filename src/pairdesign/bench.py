@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import model, report
 from .design import Pair, objective_value, pair_arrays
@@ -139,6 +137,8 @@ def resolve_workers(config: RunConfig) -> int:
 def _pmap(fn, items, workers):
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -218,7 +218,9 @@ def _selection_repeat(args) -> dict:
         x, absolute_set, sampler = make_instance(
             seed, config.n, config.d, config.sigma_x, config.sigma_beta, config.c_a, config.n_absolute
         )
-        absolute_labels = sampler.absolute_labels(absolute_set)
+        # only the baselines that fit a model read labels, so only they draw them
+        fitted = config.algorithm in ("entropy", "fisher")
+        absolute_labels = sampler.absolute_labels(absolute_set) if fitted else []
     trace = _select(config, x, absolute_set, absolute_labels, None, (*seed, 7))
     objective = objective_value(x, absolute_set, trace.selected, config.lam)
     return _trace_row(repeat, seed, trace, objective)
@@ -354,12 +356,16 @@ class _SyntheticLabels:
         self._u_cmp = rng.random(n * (n - 1) // 2)
 
     def absolute(self, indices) -> list[tuple[int, int]]:
+        from scipy.special import expit
+
         idx = np.asarray(list(indices), dtype=np.intp)
         p = expit(self._x[idx] @ (self._beta / self._c_a))
         return [(int(i), 1 if self._u_abs[i] < pi else -1) for i, pi in zip(idx, p)]
 
     def comparisons(self, i: np.ndarray, j: np.ndarray) -> list[tuple[Pair, int]]:
         """Labels of the pairs (i[e], j[e]), each with i[e] < j[e]."""
+        from scipy.special import expit
+
         p = expit((self._x[i] - self._x[j]) @ self._beta)
         # position of (i, j) in the lexicographic pair universe
         lin = i * (2 * self._n - i - 1) // 2 + (j - i - 1)
@@ -421,6 +427,13 @@ def run_evaluation(config: RunConfig) -> report.Report:
         raise ConfigError("evaluation currently supports synthetic datasets only")
     if config.folds > config.n:
         raise ConfigError(f"--folds {config.folds} exceeds the {config.n} synthetic samples: a test fold would be empty")
+    # a test fold of 2 samples or fewer holds at most one pair, so its AUC is never defined
+    smallest_fold = config.n // config.folds if config.folds > 1 else config.n // 4
+    if smallest_fold < 3:
+        raise ConfigError(
+            f"--folds {config.folds} leaves a test fold of {smallest_fold} of the {config.n} synthetic samples; "
+            "an AUC needs at least 3"
+        )
     workers = resolve_workers(config)
     nested = _pmap(_evaluation_repeat, [(config, r) for r in range(config.repeats)], workers)
     rows = [row for chunk in nested for row in chunk]

@@ -46,6 +46,10 @@ def _parse_synthetic(text: str) -> dict:
             out[field] = cast(value)
         except ValueError:
             raise ConfigError(f"bad value for synthetic parameter {key!r}: {value!r}") from None
+    # only here is it known that n-absolute was given: the default of 10 is
+    # capped at a smaller n, a value given above n is rejected
+    if "n_absolute" in out and "n" in out and out["n_absolute"] > out["n"]:
+        raise ConfigError(f"synthetic n-absolute {out['n_absolute']} exceeds the {out['n']} samples of n")
     return out
 
 

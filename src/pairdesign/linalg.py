@@ -1,8 +1,9 @@
 """Dense SPD linear algebra kernels shared by every selection engine.
 
-All routines operate on plain numpy arrays. Every inverse the engines carry
-is exactly symmetric, bit for bit. `invert_spd` makes it so: the triangular
-solves do not return an exactly symmetric matrix, so their output is
+All routines operate on plain numpy arrays and need nothing beyond numpy.
+Every inverse the engines carry is exactly symmetric, bit for bit.
+`invert_spd` makes it so: it forms F^-T F^-1 from the inverse of the
+Cholesky factor F, whose product need not be exactly symmetric, so it is
 symmetrized. The rank-one downdates keep it so without help: entries (i, j)
 and (j, i) of v v^T are the same IEEE product v_i * v_j, and every further
 step is elementwise. Symmetrizing a downdate would change no bit, so the
@@ -13,9 +14,11 @@ symmetry of `xa.T @ xa` depends on which BLAS routine numpy picks for it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateUpdate, NotPositiveDefinite
+
+# Largest order `_lower_inverse` hands to one LAPACK call instead of halving.
+_TRIANGULAR_BLOCK = 32
 
 # Denominator 1 + x^T A^-1 x is positive for SPD state; anything at or below
 # this threshold signals corrupted state rather than a legitimate update.
@@ -49,10 +52,37 @@ def gram_factor(m: np.ndarray) -> np.ndarray:
 
 
 def invert_spd(m: np.ndarray) -> np.ndarray:
-    """Invert an SPD matrix via its Cholesky factor and triangular solves."""
+    """Invert an SPD matrix as F^-T F^-1, where F is its Cholesky factor.
+
+    Raises NotPositiveDefinite when the factorization fails or its factor
+    cannot be inverted.
+    """
     f = cholesky_factor(m)
-    inv = scipy.linalg.cho_solve((f, True), np.eye(m.shape[0]))
-    return symmetrize(inv)
+    try:
+        f_inv = _lower_inverse(f)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    return symmetrize(f_inv.T @ f_inv)
+
+
+def _lower_inverse(f: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, by halves.
+
+    With f = [[a, 0], [c, e]], the inverse is [[a^-1, 0], [-e^-1 c a^-1, e^-1]].
+    numpy has no triangular inverse, and its general one ignores the zeros:
+    by halves, most of the work runs as matrix products instead.
+    """
+    d = f.shape[0]
+    if d <= _TRIANGULAR_BLOCK:
+        return np.linalg.inv(f)
+    h = d // 2
+    a_inv = _lower_inverse(f[:h, :h])
+    e_inv = _lower_inverse(f[h:, h:])
+    out = np.zeros_like(f)
+    out[:h, :h] = a_inv
+    out[h:, h:] = e_inv
+    out[h:, :h] = -(e_inv @ f[h:, :h]) @ a_inv
+    return out
 
 
 def _update_denominator(ainv: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:

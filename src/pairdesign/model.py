@@ -5,6 +5,10 @@ sample i is positive with probability sigmoid(beta . x_i), and a comparison
 (i, j) favors i with probability sigmoid(beta . (x_i - x_j)). MAP estimation
 of beta is L2-regularized logistic regression over the stacked absolute and
 difference covariates.
+
+scipy.special (`expit`, `xlogy`) is imported by the functions that use it,
+at their first call, so importing pairdesign or running a design engine
+loads no scipy module.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .design import Pair, comparison_feature
 from .errors import DegenerateLabelSet, InstanceTooLarge
@@ -59,10 +62,14 @@ class LabelSampler:
         self._rng = rng
 
     def absolute_probabilities(self, indices) -> np.ndarray:
+        from scipy.special import expit
+
         idx = np.asarray(list(indices), dtype=np.intp)
         return expit(self.x[idx] @ (self.beta_true / self.c_a))
 
     def comparison_probabilities(self, pairs) -> np.ndarray:
+        from scipy.special import expit
+
         diffs = np.array([comparison_feature(self.x, e) for e in pairs])
         return expit(diffs @ self.beta_true)
 
@@ -107,7 +114,7 @@ def _signed_covariates(x: np.ndarray, data: LabeledData) -> np.ndarray:
     return np.array(rows)
 
 
-def _loss_and_grad(beta: np.ndarray, signed: np.ndarray, lam: float):
+def _loss_and_grad(beta: np.ndarray, signed: np.ndarray, lam: float, expit):
     margins = signed @ beta
     loss = lam * float(beta @ beta) + float(np.sum(np.logaddexp(0.0, -margins)))
     grad = 2.0 * lam * beta - signed.T @ expit(-margins)
@@ -116,15 +123,19 @@ def _loss_and_grad(beta: np.ndarray, signed: np.ndarray, lam: float):
 
 def nll_loss(params: ModelParams, x: np.ndarray, data: LabeledData) -> float:
     """Regularized negative log-likelihood of the observed labels."""
+    from scipy.special import expit
+
     signed = _signed_covariates(x, data)
-    loss, _ = _loss_and_grad(params.beta, signed, params.lam)
+    loss, _ = _loss_and_grad(params.beta, signed, params.lam, expit)
     return loss
 
 
 def nll_gradient(params: ModelParams, x: np.ndarray, data: LabeledData) -> np.ndarray:
     """Analytic gradient of nll_loss with respect to beta."""
+    from scipy.special import expit
+
     signed = _signed_covariates(x, data)
-    _, grad = _loss_and_grad(params.beta, signed, params.lam)
+    _, grad = _loss_and_grad(params.beta, signed, params.lam, expit)
     return grad
 
 
@@ -142,9 +153,11 @@ def map_fit(
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    from scipy.special import expit
+
     signed = _signed_covariates(x, data)
     beta = np.zeros(x.shape[1])
-    loss, grad = _loss_and_grad(beta, signed, lam)
+    loss, grad = _loss_and_grad(beta, signed, lam, expit)
     step = 1.0
     iterations = 0
     grad_norm = float(np.linalg.norm(grad))
@@ -152,7 +165,7 @@ def map_fit(
         # Armijo backtracking; the step carries over and is allowed to grow.
         while True:
             cand = beta - step * grad
-            cand_loss, cand_grad = _loss_and_grad(cand, signed, lam)
+            cand_loss, cand_grad = _loss_and_grad(cand, signed, lam, expit)
             if cand_loss <= loss - 1e-4 * step * grad_norm**2 or step < 1e-20:
                 break
             step *= 0.5
@@ -196,6 +209,8 @@ def entropy_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pa
     The pool is read by `greedy.resolve_pool`. The entropy objective is modular, so the greedy optimum is an exact
     top-k sort; ties resolve to lexicographically smaller pairs.
     """
+    from scipy.special import expit, xlogy
+
     i, j = resolve_pool(x.shape[0], pool, k)
     p = expit((x[i] - x[j]) @ beta_hat)
     entropy = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
@@ -221,6 +236,8 @@ def fisher_information_objective(
 
 
 def _fisher_matrix(x, beta_hat, pairs, ridge):
+    from scipy.special import expit
+
     arr = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     diffs = x[arr[:, 0]] - x[arr[:, 1]]
     p = expit(diffs @ beta_hat)
@@ -236,6 +253,8 @@ def fisher_select(
     ridge: float = 1e-6,
 ) -> list[Pair]:
     """Greedy maximization of the Fisher information trace objective."""
+    from scipy.special import expit
+
     i, j = resolve_pool(x.shape[0], pool, k)
     if len(i) > _FISHER_POOL_LIMIT:
         raise InstanceTooLarge(f"fisher pool {len(i)} exceeds {_FISHER_POOL_LIMIT}")

@@ -153,6 +153,20 @@ def test_parse_synthetic():
         cli._parse_synthetic("n=abc")
     with pytest.raises(ConfigError):
         cli._parse_synthetic("width=3")
+    # an n-absolute given above n is rejected; up to n, or left to its default, it passes
+    assert cli._parse_synthetic("n=10,n-absolute=10") == {"n": 10, "n_absolute": 10}
+    assert cli._parse_synthetic("n=6,d=2") == {"n": 6, "d": 2}
+    with pytest.raises(ConfigError, match="n-absolute 11 exceeds"):
+        cli._parse_synthetic("n-absolute=11,n=10")
+
+
+@pytest.mark.parametrize("n, folds", [(12, 4), (12, 1), (20, 6)])
+def test_test_folds_of_three_samples_are_not_usage_errors(capsys, n, folds):
+    # whether a fold of 3 holds both label classes depends on the draw: exit 0 or 4
+    code = cli.main(["evaluate", "--synthetic", f"n={n},d=3", "--algorithm", "random", "--k", "3",
+                     "--folds", str(folds), "--workers", "1"])
+    assert code in (0, 4)
+    assert "--folds" not in capsys.readouterr().err
 
 
 def test_k_above_the_pool_is_a_usage_error_for_every_algorithm(capsys):
@@ -205,6 +219,15 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
     (_EVALUATE[:-4] + ["--folds", "21", "--workers", "1"], None, "--folds 21 exceeds the 20 synthetic samples"),
     (["bench", "--algorithms", "", "--k", "3", "--synthetic", "n=20,d=3"], None, "--algorithms names no engine"),
     (["bench", "--algorithms", ",,", "--k", "3", "--synthetic", "n=20,d=3"], None, "--algorithms names no engine"),
+    # a test fold of 2 samples or fewer has at most one pair: no AUC can be scored
+    (_EVALUATE[:-4] + ["--folds", "10", "--workers", "1"], None, "--folds 10 leaves a test fold of 2"),
+    (_EVALUATE[:-4] + ["--folds", "11", "--workers", "1"], None, "--folds 11 leaves a test fold of 1"),
+    (["evaluate", "--synthetic", "n=8,d=2", "--algorithm", "random", "--k", "3", "--folds", "1", "--workers", "1"],
+     None, "--folds 1 leaves a test fold of 2"),
+    (_SELECT + ["--synthetic", "n=10,d=3,n-absolute=20", "--k", "2"], None,
+     "synthetic n-absolute 20 exceeds the 10 samples"),
+    (["bench", "--algorithms", "sg", "--k", "2", "--synthetic", "n=10,d=3,n-absolute=30"], None,
+     "synthetic n-absolute 30 exceeds the 10 samples"),
 ])
 def test_usage_error_names_the_bad_value(capsys, monkeypatch, argv, workers_env, message):
     monkeypatch.delenv(bench.WORKERS_ENV, raising=False)

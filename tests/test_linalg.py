@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairdesign import linalg
+from pairdesign import design, linalg
 from pairdesign.errors import DegenerateUpdate, NotPositiveDefinite
 
 from conftest import random_spd
@@ -71,6 +72,28 @@ def test_invert_spd_identity_residual(rng):
         inv = linalg.invert_spd(m)
         assert np.array_equal(inv, inv.T)
         assert np.max(np.abs(m @ inv - np.eye(d))) <= 1e-9
+
+
+@pytest.mark.parametrize("n, d", [(30, 8), (40, 48), (10, 40), (3, 24), (20, 130)])
+def test_invert_spd_tracks_cho_solve_on_adversarial_designs(n, d):
+    # scipy's Cholesky solve is the reference: the library inverts in numpy alone
+    eps = np.finfo(float).eps
+    for scale in (1e-6, 1.0, 1e6):
+        x = np.random.default_rng(n * d).normal(size=(n, d)) * scale
+        for lam in (1e-12, 1e-8, 1e-4, 1.0, 1e4):
+            m = design.design_matrix(x, range(n), [], lam)
+            try:
+                factor = scipy.linalg.cholesky(m, lower=True)
+            except np.linalg.LinAlgError:
+                with pytest.raises(NotPositiveDefinite):
+                    linalg.invert_spd(m)
+                continue
+            reference = scipy.linalg.cho_solve((factor, True), np.eye(d))
+            inv = linalg.invert_spd(m)
+            assert np.array_equal(inv, inv.T), (scale, lam)
+            residual = np.max(np.abs(m @ inv - np.eye(d)))
+            reference_residual = np.max(np.abs(m @ reference - np.eye(d)))
+            assert residual <= 10 * reference_residual + 64 * eps, (scale, lam)
 
 
 def test_sherman_morrison_matches_direct_inverse(rng):

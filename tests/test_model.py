@@ -150,6 +150,36 @@ def test_import_leaves_scipy_stats_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+_NUMPY_ONLY_RUNS = {
+    "import": "",
+    "engines": (
+        "x, absolute_set, _ = bench.make_instance(0, 12, 4, n_absolute=3)\n"
+        "for engine in bench.ENGINES.values():\n"
+        "    engine(x, absolute_set, 3, 1e-4)"
+    ),
+    "select": "assert cli.main(['select', '--synthetic', 'n=12,d=4', '--algorithm', 'sg', '--k', '3', '--out', os.devnull]) == 0",
+    "bench": "assert cli.main(['bench', '--algorithms', 'sg,slm', '--synthetic', 'n=12,d=4', '--k', '3', '--out', os.devnull]) == 0",
+    "verify": "assert cli.main(['verify', '--single', '--n', '12', '--d', '4', '--k', '3', '--out', os.devnull]) == 0",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_NUMPY_ONLY_RUNS))
+def test_engine_path_loads_no_scipy(run):
+    # scipy is kept for label draws and model fits; designing pairs needs numpy alone
+    code = (
+        "import os, sys\n"
+        "from pairdesign import bench, cli\n"
+        f"{_NUMPY_ONLY_RUNS[run]}\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent.futures.process'))))"
+    )
+    src = str(Path(model.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PAIRDESIGN_WORKERS", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_auc_degenerate_labels():
     with pytest.raises(DegenerateLabelSet):
         model.auc([0.1, 0.2], [1, 1])
