@@ -40,13 +40,16 @@ def main() -> None:
             seed=args.seed,
             map_lambda=args.map_lambda,
         )
-        rep = run_evaluation(config)
-        agg = rep.aggregates
-        print(
-            f"{tag:>8}: comparison AUC {agg['auc_comparison_mean']:.4f} "
-            f"+/- {agg['auc_comparison_std']:.4f}   absolute AUC "
-            f"{agg['auc_absolute_mean']:.4f} +/- {agg['auc_absolute_std']:.4f}"
-        )
+        agg = run_evaluation(config).aggregates
+        print(f"{tag:>8}: comparison AUC {_mean_std(agg, 'auc_comparison')}   "
+              f"absolute AUC {_mean_std(agg, 'auc_absolute')}")
+
+
+def _mean_std(agg: dict, name: str) -> str:
+    """`mean +/- std`, or `n/a` where no fold had a defined AUC."""
+    if f"{name}_mean" not in agg:
+        return "n/a"
+    return f"{agg[name + '_mean']:.4f} +/- {agg[name + '_std']:.4f}"
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model, report
-from .design import Pair, objective_value, pair_arrays
-from .errors import ConfigError
+from .design import objective_value, pair_arrays
+from .errors import ConfigError, DegenerateLabelSet
 from .greedy import EagerSearch, Engine, FactorizationOracle, NaiveOracle, ScalarOracle
 from .lazy import BlockSearch
 from .model import LabeledData
@@ -144,12 +144,13 @@ def _pmap(fn, items, workers):
 
 
 def make_instance(seed, n, d, sigma_x=1.0, sigma_beta=1.0, c_a=1.2, n_absolute=10):
-    """Synthetic instance: features, absolute-label indices, and a sampler."""
-    x, beta_true, sampler = model.sample_synthetic(n, d, sigma_x, sigma_beta, c_a, seed=seed)
+    """Synthetic instance: features, absolute-label indices, and the label table."""
+    x, beta_true = model.sample_synthetic(n, d, sigma_x, sigma_beta, c_a, seed=seed)
     parts = seed if isinstance(seed, tuple) else (seed,)
     rng = np.random.default_rng((*parts, 1))
     absolute_set = sorted(rng.choice(n, size=min(n_absolute, n), replace=False).tolist())
-    return x, absolute_set, sampler
+    # not (*parts, 1), which would tie which samples are labelled to their label draws
+    return x, absolute_set, model.SyntheticLabels(x, beta_true, c_a, seed=(*parts, 3))
 
 
 def _load_csv_instance(config: RunConfig):
@@ -215,12 +216,12 @@ def _selection_repeat(args) -> dict:
         x, absolute_set, data = _load_csv_instance(config)
         absolute_labels = data.absolute
     else:
-        x, absolute_set, sampler = make_instance(
+        x, absolute_set, labels = make_instance(
             seed, config.n, config.d, config.sigma_x, config.sigma_beta, config.c_a, config.n_absolute
         )
-        # only the baselines that fit a model read labels, so only they draw them
+        # only the baselines that fit a model read labels, so only they load scipy
         fitted = config.algorithm in ("entropy", "fisher")
-        absolute_labels = sampler.absolute_labels(absolute_set) if fitted else []
+        absolute_labels = labels.absolute(absolute_set) if fitted else []
     trace = _select(config, x, absolute_set, absolute_labels, None, (*seed, 7))
     objective = objective_value(x, absolute_set, trace.selected, config.lam)
     return _trace_row(repeat, seed, trace, objective)
@@ -338,41 +339,6 @@ def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Rep
     return (0 if passed else 1), rep
 
 
-class _SyntheticLabels:
-    """Repeat-level label table: each label is a pure function of its index.
-
-    Uniform draws for every sample and pair are generated up front so that
-    the labels revealed for a selection never depend on query order.
-    """
-
-    def __init__(self, x, beta_true, c_a, seed):
-        rng = np.random.default_rng(seed)
-        n = x.shape[0]
-        self._x = x
-        self._beta = beta_true
-        self._c_a = c_a
-        self._n = n
-        self._u_abs = rng.random(n)
-        self._u_cmp = rng.random(n * (n - 1) // 2)
-
-    def absolute(self, indices) -> list[tuple[int, int]]:
-        from scipy.special import expit
-
-        idx = np.asarray(list(indices), dtype=np.intp)
-        p = expit(self._x[idx] @ (self._beta / self._c_a))
-        return [(int(i), 1 if self._u_abs[i] < pi else -1) for i, pi in zip(idx, p)]
-
-    def comparisons(self, i: np.ndarray, j: np.ndarray) -> list[tuple[Pair, int]]:
-        """Labels of the pairs (i[e], j[e]), each with i[e] < j[e]."""
-        from scipy.special import expit
-
-        p = expit((self._x[i] - self._x[j]) @ self._beta)
-        # position of (i, j) in the lexicographic pair universe
-        lin = i * (2 * self._n - i - 1) // 2 + (j - i - 1)
-        y = np.where(self._u_cmp[lin] < p, 1, -1)
-        return list(zip(zip(i.tolist(), j.tolist()), y.tolist()))
-
-
 def _pairs_within(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (I, J) of every pair of `samples`, lexicographic order."""
     samples = np.sort(samples)
@@ -380,12 +346,20 @@ def _pairs_within(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return samples[a], samples[b]
 
 
+def _fold_auc(scores, labelled) -> float | None:
+    """Held-out AUC, or None where a fold's labels all fall in one class."""
+    try:
+        return model.auc(scores, [y for _, y in labelled])
+    except DegenerateLabelSet:
+        return None
+
+
 def _evaluation_repeat(args) -> list[dict]:
     config, repeat = args
-    x, beta_true, _ = model.sample_synthetic(
+    x, beta_true = model.sample_synthetic(
         config.n, config.d, config.sigma_x, config.sigma_beta, config.c_a, seed=(config.seed, repeat)
     )
-    labels = _SyntheticLabels(x, beta_true, config.c_a, seed=(config.seed, repeat, 1))
+    labels = model.SyntheticLabels(x, beta_true, config.c_a, seed=(config.seed, repeat, 1))
     rng = np.random.default_rng((config.seed, repeat, 2))
     perm = rng.permutation(x.shape[0])
     folds = np.array_split(perm, config.folds) if config.folds > 1 else [perm[: x.shape[0] // 4]]
@@ -412,8 +386,8 @@ def _evaluation_repeat(args) -> list[dict]:
             "fold": fold_idx,
             "algorithm": config.algorithm,
             "k": config.k,
-            "auc_comparison": model.auc(cmp_scores, [y for _, y in cmp_labels]),
-            "auc_absolute": model.auc(abs_scores, [y for _, y in abs_labels]),
+            "auc_comparison": _fold_auc(cmp_scores, cmp_labels),
+            "auc_absolute": _fold_auc(abs_scores, abs_labels),
             "converged": fit.converged,
         }
         rows.append(row)

@@ -53,10 +53,6 @@ class DesignState:
     absolute_set: list[int]
     selected: list[Pair] = field(default_factory=list)
 
-    @property
-    def iteration(self) -> int:
-        return len(self.selected)
-
 
 def design_matrix(x: np.ndarray, absolute_set, selected, lam: float) -> np.ndarray:
     """Assemble lambda*I + sum of absolute and comparison outer products."""

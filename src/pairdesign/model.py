@@ -1,9 +1,10 @@
 """Pairwise-comparison generative model, MAP fitting, AUC, and baselines.
 
 Labels follow a logistic model on linear scores: an absolute label for
-sample i is positive with probability sigmoid(beta . x_i), and a comparison
-(i, j) favors i with probability sigmoid(beta . (x_i - x_j)). MAP estimation
-of beta is L2-regularized logistic regression over the stacked absolute and
+sample i is positive with probability sigmoid(beta . x_i / c_a), and a
+comparison (i, j) favors i with probability sigmoid(beta . (x_i - x_j));
+`SyntheticLabels` draws every synthetic label. MAP estimation of beta is
+L2-regularized logistic regression over the stacked absolute and
 difference covariates.
 
 scipy.special (`expit`, `xlogy`) is imported by the functions that use it,
@@ -47,47 +48,6 @@ class FitResult:
     converged: bool
 
 
-class LabelSampler:
-    """Draws labels from the generative model for a fixed feature matrix.
-
-    Absolute labels use beta_true / c_a (noisier); comparison labels use
-    beta_true directly. Draws consume the sampler's own rng stream, so a
-    fixed seed and call order reproduce the dataset exactly.
-    """
-
-    def __init__(self, x: np.ndarray, beta_true: np.ndarray, c_a: float, rng: np.random.Generator):
-        self.x = x
-        self.beta_true = beta_true
-        self.c_a = c_a
-        self._rng = rng
-
-    def absolute_probabilities(self, indices) -> np.ndarray:
-        from scipy.special import expit
-
-        idx = np.asarray(list(indices), dtype=np.intp)
-        return expit(self.x[idx] @ (self.beta_true / self.c_a))
-
-    def comparison_probabilities(self, pairs) -> np.ndarray:
-        from scipy.special import expit
-
-        diffs = np.array([comparison_feature(self.x, e) for e in pairs])
-        return expit(diffs @ self.beta_true)
-
-    def absolute_labels(self, indices) -> list[tuple[int, int]]:
-        indices = list(indices)
-        p = self.absolute_probabilities(indices)
-        draws = self._rng.random(len(indices)) < p
-        return [(i, 1 if hit else -1) for i, hit in zip(indices, draws)]
-
-    def comparison_labels(self, pairs) -> list[tuple[Pair, int]]:
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        p = self.comparison_probabilities(pairs)
-        draws = self._rng.random(len(pairs)) < p
-        return [(e, 1 if hit else -1) for e, hit in zip(pairs, draws)]
-
-
 def sample_synthetic(
     n: int,
     d: int,
@@ -95,14 +55,51 @@ def sample_synthetic(
     sigma_beta: float = 1.0,
     c_a: float = 1.2,
     seed: int | tuple = 0,
-) -> tuple[np.ndarray, np.ndarray, LabelSampler]:
-    """Gaussian features and parameter vector, plus a label sampler."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian features and the true parameter vector."""
     if min(sigma_x, sigma_beta, c_a) <= 0:
         raise ValueError("scale parameters must be positive")
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, sigma_x, size=(n, d))
     beta_true = rng.normal(0.0, sigma_beta, size=d)
-    return x, beta_true, LabelSampler(x, beta_true, c_a, rng)
+    return x, beta_true
+
+
+class SyntheticLabels:
+    """Label table: each label is a pure function of its index, never of query order.
+
+    A label is positive where its uniform falls below the model probability.
+    The generator draws one uniform per sample at construction, then one per
+    pair of the lexicographic pair universe at the first `comparisons()` call.
+    """
+
+    def __init__(self, x: np.ndarray, beta_true: np.ndarray, c_a: float, seed: int | tuple):
+        self._x = x
+        self._beta = beta_true
+        self._c_a = c_a
+        self._rng = np.random.default_rng(seed)
+        self._u_abs = self._rng.random(x.shape[0])
+        self._u_cmp = None
+
+    def absolute(self, indices) -> list[tuple[int, int]]:
+        from scipy.special import expit
+
+        idx = np.asarray(list(indices), dtype=np.intp)
+        p = expit(self._x[idx] @ (self._beta / self._c_a))
+        return [(int(i), 1 if self._u_abs[i] < pi else -1) for i, pi in zip(idx, p)]
+
+    def comparisons(self, i: np.ndarray, j: np.ndarray) -> list[tuple[Pair, int]]:
+        """Labels of the pairs (i[e], j[e]), each with i[e] < j[e]."""
+        from scipy.special import expit
+
+        n = self._x.shape[0]
+        if self._u_cmp is None:
+            self._u_cmp = self._rng.random(n * (n - 1) // 2)
+        p = expit((self._x[i] - self._x[j]) @ self._beta)
+        # position of (i, j) in the lexicographic pair universe
+        lin = i * (2 * n - i - 1) // 2 + (j - i - 1)
+        y = np.where(self._u_cmp[lin] < p, 1, -1)
+        return list(zip(zip(i.tolist(), j.tolist()), y.tolist()))
 
 
 def _signed_covariates(x: np.ndarray, data: LabeledData) -> np.ndarray:

@@ -114,10 +114,10 @@ class Report:
 
 
 def aggregate(rows: list[dict], fields: list[str]) -> dict:
-    """Mean and standard deviation per numeric field across rows."""
+    """Mean and standard deviation per numeric field across rows; None values are skipped."""
     out = {}
     for name in fields:
-        values = [row[name] for row in rows if name in row]
+        values = [row[name] for row in rows if row.get(name) is not None]
         if values:
             arr = np.asarray(values, dtype=float)
             out[f"{name}_mean"] = float(arr.mean())
@@ -126,6 +126,8 @@ def aggregate(rows: list[dict], fields: list[str]) -> dict:
 
 
 def _csv_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, (list, tuple)):

@@ -104,7 +104,7 @@ def test_run_evaluation_shapes():
 def test_evaluation_labels_are_query_order_independent():
     x = np.random.default_rng(0).normal(size=(10, 3))
     beta = np.ones(3)
-    labels = bench._SyntheticLabels(x, beta, 1.2, seed=(0, 1))
+    labels = model.SyntheticLabels(x, beta, 1.2, seed=(0, 1))
     forward = labels.comparisons(np.array([0, 2]), np.array([1, 3]))
     backward = labels.comparisons(np.array([2, 0]), np.array([3, 1]))
     assert dict(forward) == dict(backward)

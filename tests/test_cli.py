@@ -160,13 +160,29 @@ def test_parse_synthetic():
         cli._parse_synthetic("n-absolute=11,n=10")
 
 
+# (n, folds) -> the (comparison, absolute) AUCs per fold at seed 0; None where
+# the draw puts every label of the test fold in one class
+_SMALL_FOLD_AUCS = {
+    (12, 4): [(None, 1.0), (1.0, 0.0), (0.0, None), (None, None)],
+    (12, 1): [(None, 1.0)],
+    (20, 6): [(1.0, 1 / 3), (0.5, 0.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (None, None)],
+}
+
+
 @pytest.mark.parametrize("n, folds", [(12, 4), (12, 1), (20, 6)])
-def test_test_folds_of_three_samples_are_not_usage_errors(capsys, n, folds):
-    # whether a fold of 3 holds both label classes depends on the draw: exit 0 or 4
+def test_test_folds_of_three_samples_are_not_usage_errors(tmp_path, capsys, n, folds):
+    # a fold whose labels fall in one class scores a null AUC; the other folds are kept
+    out = tmp_path / "evaluate.json"
     code = cli.main(["evaluate", "--synthetic", f"n={n},d=3", "--algorithm", "random", "--k", "3",
-                     "--folds", str(folds), "--workers", "1"])
-    assert code in (0, 4)
+                     "--folds", str(folds), "--workers", "1", "--out", str(out)])
+    assert code == 0
     assert "--folds" not in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    aucs = [(row["auc_comparison"], row["auc_absolute"]) for row in payload["rows"]]
+    assert aucs == _SMALL_FOLD_AUCS[n, folds]
+    for key in ("auc_comparison", "auc_absolute"):
+        scored = [row[key] for row in payload["rows"] if row[key] is not None]
+        assert payload["aggregates"].get(f"{key}_mean") == (pytest.approx(np.mean(scored)) if scored else None)
 
 
 def test_k_above_the_pool_is_a_usage_error_for_every_algorithm(capsys):
@@ -228,6 +244,11 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
      "synthetic n-absolute 20 exceeds the 10 samples"),
     (["bench", "--algorithms", "sg", "--k", "2", "--synthetic", "n=10,d=3,n-absolute=30"], None,
      "synthetic n-absolute 30 exceeds the 10 samples"),
+    (_SELECT + ["--repeats", "0"], None, "repeats must be >= 1"),
+    (_EVALUATE[:-4] + ["--folds", "0", "--workers", "1"], None, "folds must be >= 1"),
+    (_SELECT + ["--algorithm", "nope"], None, "unknown algorithm"),
+    (["select", "--workers", "1"], None, "either synthetic parameters"),
+    (["select", "--synthetic", "n=10", "--workers", "1"], None, "need both n and d"),
 ])
 def test_usage_error_names_the_bad_value(capsys, monkeypatch, argv, workers_env, message):
     monkeypatch.delenv(bench.WORKERS_ENV, raising=False)

@@ -91,11 +91,11 @@ def test_map_fit_rejects_nonpositive_lambda():
 
 
 def test_map_fit_recovers_direction():
-    x, beta_true, sampler = model.sample_synthetic(300, 6, seed=42)
-    pairs = [(i, i + 150) for i in range(150)]
+    x, beta_true = model.sample_synthetic(300, 6, seed=42)
+    labels = model.SyntheticLabels(x, beta_true, 1.2, seed=(42, 1))
     data = model.LabeledData(
-        absolute=sampler.absolute_labels(range(50)),
-        comparisons=sampler.comparison_labels(pairs),
+        absolute=labels.absolute(range(50)),
+        comparisons=labels.comparisons(np.arange(150), np.arange(150, 300)),
     )
     fit = model.map_fit(x, data, lam=1e-2)
     cosine = float(fit.params.beta @ beta_true) / (
@@ -105,19 +105,41 @@ def test_map_fit_recovers_direction():
 
 
 def test_sampler_deterministic():
-    _, _, s1 = model.sample_synthetic(30, 4, seed=9)
-    _, _, s2 = model.sample_synthetic(30, 4, seed=9)
-    pairs = [(0, 1), (2, 5), (10, 20)]
-    assert s1.absolute_labels(range(10)) == s2.absolute_labels(range(10))
-    assert s1.comparison_labels(pairs) == s2.comparison_labels(pairs)
+    x, beta_true = model.sample_synthetic(30, 4, seed=9)
+    x2, beta2 = model.sample_synthetic(30, 4, seed=9)
+    assert np.array_equal(x, x2) and np.array_equal(beta_true, beta2)
+    s1 = model.SyntheticLabels(x, beta_true, 1.2, seed=9)
+    s2 = model.SyntheticLabels(x2, beta2, 1.2, seed=9)
+    i, j = np.array([0, 2, 10]), np.array([1, 5, 20])
+    assert s1.absolute(range(10)) == s2.absolute(range(10))
+    assert s1.comparisons(i, j) == s2.comparisons(i, j)
 
 
-def test_sampler_probabilities():
-    x, beta_true, sampler = model.sample_synthetic(20, 3, c_a=2.0, seed=4)
-    p_abs = sampler.absolute_probabilities([3, 7])
-    assert np.allclose(p_abs, expit(x[[3, 7]] @ (beta_true / 2.0)))
-    p_cmp = sampler.comparison_probabilities([(1, 2)])
-    assert np.allclose(p_cmp, expit((x[1] - x[2]) @ beta_true))
+def test_synthetic_labels_threshold_their_uniforms():
+    # sample uniforms first, then one per pair of the lexicographic universe
+    n, c_a, seed = 20, 2.0, (4, 1)
+    x, beta_true = model.sample_synthetic(n, 3, c_a=c_a, seed=4)
+    labels = model.SyntheticLabels(x, beta_true, c_a, seed=seed)
+    rng = np.random.default_rng(seed)
+    u_abs = rng.random(n)
+    u_cmp = rng.random(n * (n - 1) // 2)
+    expected_abs = np.where(u_abs < expit(x @ (beta_true / c_a)), 1, -1)
+    assert labels.absolute(range(n)) == list(enumerate(expected_abs.tolist()))
+    i, j = np.triu_indices(n, k=1)
+    expected_cmp = np.where(u_cmp < expit((x[i] - x[j]) @ beta_true), 1, -1)
+    assert [y for _, y in labels.comparisons(i, j)] == expected_cmp.tolist()
+
+
+def test_synthetic_labels_do_not_depend_on_query_order():
+    # the pair uniforms are drawn at the first comparisons() call, after the
+    # sample uniforms, so asking for comparisons first changes no label
+    x, beta_true = model.sample_synthetic(15, 3, seed=2)
+    i, j = np.triu_indices(15, k=1)
+    first = model.SyntheticLabels(x, beta_true, 1.2, seed=(2, 1))
+    absolute_first = (first.absolute(range(15)), first.comparisons(i, j))
+    second = model.SyntheticLabels(x, beta_true, 1.2, seed=(2, 1))
+    comparisons_first = second.comparisons(i, j)
+    assert (second.absolute(range(15)), comparisons_first) == absolute_first
 
 
 def test_auc_oracle_values():

@@ -61,12 +61,12 @@ def test_content_hash_ignores_timing():
 
 
 def test_aggregate():
-    rows = [{"v": 1.0, "w": 2.0}, {"v": 3.0}]
-    agg = report.aggregate(rows, ["v", "w", "missing"])
+    rows = [{"v": 1.0, "w": 2.0, "u": None}, {"v": 3.0, "w": None, "u": None}]
+    agg = report.aggregate(rows, ["v", "w", "u", "missing"])
     assert agg["v_mean"] == 2.0
     assert agg["v_std"] == 1.0
-    assert agg["w_mean"] == 2.0
-    assert "missing_mean" not in agg
+    assert agg["w_mean"] == 2.0  # an undefined value is skipped
+    assert "u_mean" not in agg and "missing_mean" not in agg
 
 
 def test_emit_json_round_trip(tmp_path):
@@ -84,13 +84,14 @@ def test_emit_json_round_trip(tmp_path):
 
 
 def test_emit_csv(tmp_path):
-    rep = report.Report(rows=[{"a": 1, "b": [1.5, 2.5]}, {"a": 2}])
+    rep = report.Report(rows=[{"a": 1, "b": [1.5, 2.5]}, {"a": 2}, {"a": 3, "b": None}])
     path = tmp_path / "out.csv"
     report.emit_report(rep, "csv", path)
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b"
     assert lines[1] == "1,1.5;2.5"
     assert lines[2] == "2,"
+    assert lines[3] == "3,"
 
 
 def test_emit_unknown_format(tmp_path):
