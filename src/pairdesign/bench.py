@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model, report
-from .design import objective_value, pair_arrays
+from .design import objective_value
 from .errors import ConfigError, DegenerateLabelSet
 from .greedy import EagerSearch, Engine, FactorizationOracle, NaiveOracle, ScalarOracle
 from .lazy import BlockSearch
@@ -191,10 +191,7 @@ def _select(config, x, absolute_set, absolute_labels, pool, seed) -> SelectionTr
     if config.algorithm in ENGINES:
         return ENGINES[config.algorithm](x, absolute_set, config.k, config.lam, pool=pool)
     if config.algorithm == "random":
-        # the random baseline reads no samples, so it is given the universe
-        if pool is None:
-            pool = np.column_stack(pair_arrays(x.shape[0]))
-        selected = model.random_select(pool, config.k, seed=seed)
+        selected = model.random_select(x.shape[0], config.k, pool, seed=seed)
     else:
         fit = model.map_fit(x, LabeledData(absolute=list(absolute_labels)), config.map_lambda)
         select = model.entropy_select if config.algorithm == "entropy" else model.fisher_select

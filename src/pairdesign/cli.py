@@ -58,6 +58,7 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--features", dest="features_csv", metavar="CSV", help="feature matrix CSV (id,f0,...)")
     parser.add_argument("--absolute", dest="absolute_csv", metavar="CSV", help="absolute labels CSV (id,label)")
     parser.add_argument("--comparisons", dest="comparisons_csv", metavar="CSV", help="comparison labels CSV (i,j,label); not supported yet, rejected")
+    parser.add_argument("--repeats", type=int, default=1, help="independent repeats, repeat r drawing its synthetic dataset from (seed, r)")
 
 
 def _add_common_args(parser: argparse.ArgumentParser,
@@ -65,7 +66,6 @@ def _add_common_args(parser: argparse.ArgumentParser,
     parser.add_argument("--k", type=int, default=20, help="number of comparisons to select")
     parser.add_argument("--lambda", dest="lam", type=float, default=1e-4, help="design ridge weight")
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--repeats", type=int, default=1, help="independent repeats")
     parser.add_argument("--workers", type=int, default=None, help=workers_help)
     parser.add_argument("--out", metavar="PATH", help="write report to PATH")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -119,7 +119,7 @@ def _emit(rep: report.Report, config: bench.RunConfig) -> None:
     if config.out:
         report.emit_report(rep, config.fmt, config.out)
     else:
-        sys.stdout.write(report.canonical_json(rep.to_dict()) + "\n")
+        sys.stdout.write(report.render_report(rep, config.fmt))
 
 
 def main(argv=None) -> int:

@@ -18,29 +18,40 @@ from .model import LabeledData
 _FLOAT_FMT = "%.17g"
 
 
-def _read_rows(path):
+def _read_table(path, what, header):
+    """(line number, row) for each row below the header of a CSV table.
+
+    `what` names the file in the empty-file error. `header` is the expected
+    header row, or None for the features header ``id,f0,...``, whose width
+    sets d. A row of another width than the header raises `ParseError`, or
+    `DimensionMismatch` in the features file.
+    """
     with open(path, newline="") as fh:
-        yield from enumerate(csv.reader(fh), start=1)
+        rows = enumerate(csv.reader(fh), start=1)
+        first = next(rows, (1, None))[1]
+        if first is None:
+            raise ParseError(f"empty {what} file", line=1)
+        features = header is None
+        if features:
+            if not first or first[0] != "id":
+                raise ParseError(f"expected 'id' header, got {first[:1]}", line=1)
+            if len(first) < 2:
+                raise ParseError("no feature columns", line=1)
+            header = ["id"] + [f"f{c}" for c in range(len(first) - 1)]
+        if first != header:
+            raise ParseError(f"expected header {','.join(header)}", line=1)
+        for lineno, row in rows:
+            if len(row) != len(header):
+                message = f"expected {len(header)} columns, got {len(row)}"
+                if features:
+                    raise DimensionMismatch(f"line {lineno}: {message}")
+                raise ParseError(message, line=lineno)
+            yield lineno, row
 
 
 def load_features(path) -> np.ndarray:
-    rows = _read_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ParseError("empty features file", line=1) from None
-    if not header or header[0] != "id":
-        raise ParseError(f"expected 'id' header, got {header[:1]}", line=1)
-    d = len(header) - 1
-    if d < 1:
-        raise ParseError("no feature columns", line=1)
-    expected = ["id"] + [f"f{c}" for c in range(d)]
-    if header != expected:
-        raise ParseError(f"expected header {','.join(expected)}", line=1)
     entries = {}
-    for lineno, row in rows:
-        if len(row) != d + 1:
-            raise DimensionMismatch(f"line {lineno}: expected {d + 1} columns, got {len(row)}")
+    for lineno, row in _read_table(path, "features", None):
         try:
             idx = int(row[0])
             values = [float(v) for v in row[1:]]
@@ -68,17 +79,8 @@ def _parse_label(token, lineno) -> int:
 
 
 def load_absolute(path, n: int) -> list[tuple[int, int]]:
-    rows = _read_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ParseError("empty absolute-label file", line=1) from None
-    if header != ["id", "label"]:
-        raise ParseError("expected header id,label", line=1)
     out = []
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
+    for lineno, row in _read_table(path, "absolute-label", ["id", "label"]):
         try:
             idx = int(row[0])
         except ValueError as exc:
@@ -90,17 +92,8 @@ def load_absolute(path, n: int) -> list[tuple[int, int]]:
 
 
 def load_comparisons(path, n: int) -> list[tuple[tuple[int, int], int]]:
-    rows = _read_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ParseError("empty comparison-label file", line=1) from None
-    if header != ["i", "j", "label"]:
-        raise ParseError("expected header i,j,label", line=1)
     out = []
-    for lineno, row in rows:
-        if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
+    for lineno, row in _read_table(path, "comparison-label", ["i", "j", "label"]):
         try:
             i, j = int(row[0]), int(row[1])
         except ValueError as exc:
@@ -123,26 +116,22 @@ def load_dataset(features_csv, absolute_csv=None, comparisons_csv=None):
     return x, data
 
 
-def write_features(path, x: np.ndarray) -> None:
-    x = np.asarray(x)
+def _write_table(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"f{c}" for c in range(x.shape[1])])
-        for i, row in enumerate(x):
-            writer.writerow([i] + [_FLOAT_FMT % v for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_features(path, x: np.ndarray) -> None:
+    x = np.asarray(x)
+    header = ["id"] + [f"f{c}" for c in range(x.shape[1])]
+    _write_table(path, header, ([i] + [_FLOAT_FMT % v for v in row] for i, row in enumerate(x)))
 
 
 def write_absolute(path, labels) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"])
-        for idx, y in labels:
-            writer.writerow([idx, y])
+    _write_table(path, ["id", "label"], labels)
 
 
 def write_comparisons(path, labels) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "label"])
-        for (i, j), y in labels:
-            writer.writerow([i, j, y])
+    _write_table(path, ["i", "j", "label"], ((i, j, y) for (i, j), y in labels))

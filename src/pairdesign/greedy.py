@@ -55,13 +55,13 @@ _BLOCK = 32768
 _ALL = slice(None)
 
 
-def resolve_pool(n: int | None, pool, k: int) -> tuple[np.ndarray, np.ndarray]:
+def resolve_pool(n: int, pool, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (I, J) of a candidate pool, lexicographic order.
 
     `pool` None is every pair over `n` samples; any other pool is a list of
     pairs or an (m, 2) array, in any order, of distinct pairs (i, j) with
-    0 <= i < j < n (`n` None: j unbounded). Raises `InvalidPool` for any
-    other pool and for `k` above the pool's size.
+    0 <= i < j < n. Raises `InvalidPool` for any other pool and for `k`
+    above the pool's size.
     """
     if pool is None:
         i, j = pair_arrays(n)
@@ -75,12 +75,9 @@ def resolve_pool(n: int | None, pool, k: int) -> tuple[np.ndarray, np.ndarray]:
         arr = arr.astype(np.intp, copy=False).reshape(-1, 2)
         arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
         i, j = arr[:, 0], arr[:, 1]
-        bad = (i < 0) | (i >= j)
-        if n is not None:
-            bad |= j >= n
+        bad = (i < 0) | (i >= j) | (j >= n)
         if bad.any():
-            bound = "" if n is None else f" < {n}"
-            raise InvalidPool(f"pool pair {tuple(arr[bad.argmax()].tolist())} is not (i, j) with 0 <= i < j{bound}")
+            raise InvalidPool(f"pool pair {tuple(arr[bad.argmax()].tolist())} is not (i, j) with 0 <= i < j < {n}")
         repeated = (arr[1:] == arr[:-1]).all(axis=1)
         if repeated.any():
             raise InvalidPool(f"pool lists pair {tuple(arr[repeated.argmax()].tolist())} more than once")
@@ -202,7 +199,6 @@ class GainOracle:
     def update(self, pair: Pair, it: int) -> None:
         xe = comparison_feature(self.x, pair)
         self.state.ainv = linalg.sherman_morrison_downdate(self.state.ainv, xe)
-        self.state.selected.append(pair)
 
 
 class NaiveOracle(GainOracle):
@@ -292,9 +288,10 @@ class ScalarOracle(GainOracle):
     def __init__(self, x, absolute_set, lam, pi, pj, k, memo=None):
         super().__init__(x, absolute_set, lam, pi, pj, k, memo)
         self.gains = super().initial()
-        self.rho = np.zeros((k, x.shape[0]))
-        self.v = np.zeros((k, x.shape[1]))
+        if memo is not None:
+            self.rho = np.zeros((k, x.shape[0]))
         if memo == "memoize":
+            self.v = np.zeros((k, x.shape[1]))
             self._filled = np.zeros(self.rho.shape, dtype=bool)
 
     def initial(self) -> np.ndarray:
@@ -314,7 +311,6 @@ class ScalarOracle(GainOracle):
 
     def update(self, pair: Pair, it: int) -> None:
         v = linalg.scalar_downdate(self.state.ainv, comparison_feature(self.x, pair))
-        self.state.selected.append(pair)
         if self.memo == "memoize":
             self.v[it] = v
         elif self.memo == "precompute":

@@ -1,4 +1,4 @@
-"""Array-backed binary max-heap with a deterministic tie rule.
+"""Binary max-heap with a deterministic tie rule, on `heapq`.
 
 Entries are (gain, stamp, pair) tuples. Ordering is by gain descending; equal
 gains are resolved toward the smaller pair in (i, j) lexicographic order, so
@@ -8,6 +8,7 @@ which the stored gain was computed and never participates in the ordering.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyHeap
@@ -26,20 +27,20 @@ def beats(a: HeapEntry, b: HeapEntry) -> bool:
     return a.pair < b.pair
 
 
-class LazyHeap:
-    """Binary max-heap over HeapEntry values.
+def _item(entry: HeapEntry):
+    """The min-heap item of `entry`: the smaller key is the entry that beats."""
+    return (-entry.gain, entry.pair), entry
 
-    Built in O(n) by sifting down from the last internal node; the public
-    operations are the classic extract-max / insert pair plus `replace_top`,
-    which swaps the root and re-sifts in a single pass.
-    """
+
+class LazyHeap:
+    """Max-heap over HeapEntry values: a `heapq` min-heap of ((-gain, pair),
+    entry) items, built in O(n)."""
 
     __slots__ = ("_items",)
 
     def __init__(self, entries: Iterable[HeapEntry] = ()):
-        self._items = list(entries)
-        for i in reversed(range(len(self._items) // 2)):
-            self._sift_down(i)
+        self._items = [_item(e) for e in entries]
+        heapq.heapify(self._items)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -51,65 +52,26 @@ class LazyHeap:
     def peek(self) -> HeapEntry:
         if not self._items:
             raise EmptyHeap("peek on empty heap")
-        return self._items[0]
+        return self._items[0][1]
 
     def extract_max(self) -> HeapEntry:
-        items = self._items
-        if not items:
+        if not self._items:
             raise EmptyHeap("extract on empty heap")
-        last = items.pop()
-        if not items:
-            return last
-        top = items[0]
-        items[0] = last
-        self._sift_down(0)
-        return top
+        return heapq.heappop(self._items)[1]
 
     def insert(self, entry: HeapEntry) -> None:
-        items = self._items
-        items.append(entry)
-        i = len(items) - 1
-        while i > 0:
-            parent = (i - 1) >> 1
-            if beats(items[i], items[parent]):
-                items[i], items[parent] = items[parent], items[i]
-                i = parent
-            else:
-                break
+        heapq.heappush(self._items, _item(entry))
 
     def replace_top(self, entry: HeapEntry) -> HeapEntry:
         """Swap the root for `entry`, returning the old root.
 
         Equivalent to extract_max followed by insert, in one sift-down.
         """
-        items = self._items
-        if not items:
+        if not self._items:
             raise EmptyHeap("replace_top on empty heap")
-        old = items[0]
-        items[0] = entry
-        self._sift_down(0)
-        return old
-
-    def _sift_down(self, i: int) -> None:
-        items = self._items
-        n = len(items)
-        while True:
-            left = 2 * i + 1
-            right = left + 1
-            largest = i
-            if left < n and beats(items[left], items[largest]):
-                largest = left
-            if right < n and beats(items[right], items[largest]):
-                largest = right
-            if largest == i:
-                return
-            items[i], items[largest] = items[largest], items[i]
-            i = largest
+        return heapq.heapreplace(self._items, _item(entry))[1]
 
     def is_valid(self) -> bool:
         """Exhaustive heap-property check; test helper only."""
         items = self._items
-        for i in range(1, len(items)):
-            if beats(items[i], items[(i - 1) >> 1]):
-                return False
-        return True
+        return not any(beats(items[i][1], items[(i - 1) >> 1][1]) for i in range(1, len(items)))

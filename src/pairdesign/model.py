@@ -279,11 +279,8 @@ def fisher_select(
     return _pairs(i, j, chosen)
 
 
-def random_select(pool, k: int, seed: int | tuple) -> list[Pair]:
-    """Uniform sample without replacement, deterministic per seed.
-
-    Reads no samples, so `pool` must be given and its indices are unbounded.
-    """
-    i, j = resolve_pool(None, pool, k)
+def random_select(n: int, k: int, pool, seed: int | tuple) -> list[Pair]:
+    """Uniform sample without replacement from `pool` over `n` samples, deterministic per seed."""
+    i, j = resolve_pool(n, pool, k)
     rng = np.random.default_rng(seed)
     return _pairs(i, j, np.sort(rng.choice(len(i), size=k, replace=False)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -135,23 +136,26 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_report(report: Report, fmt: str, path) -> None:
-    """Write a report as canonical JSON or flat CSV; byte-stable per input."""
+def render_report(report: Report, fmt: str) -> str:
+    """A report as canonical JSON or flat CSV text; byte-stable per input."""
     if fmt == "json":
-        text = canonical_json(report.to_dict())
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-            fh.write("\n")
-    elif fmt == "csv":
-        rows = _plain(report.rows)
-        columns = sorted({key for row in rows for key in row})
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_csv_cell(row.get(c, "")) for c in columns])
-    else:
+        return canonical_json(report.to_dict()) + "\n"
+    if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
+    rows = _plain(report.rows)
+    columns = sorted({key for row in rows for key in row})
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row.get(c, "")) for c in columns] for row in rows)
+    return text.getvalue()
+
+
+def emit_report(report: Report, fmt: str, path) -> None:
+    """Write a report to `path` as `render_report` renders it."""
+    text = render_report(report, fmt)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def load_report(path) -> Report:

@@ -136,7 +136,7 @@ def selector(tag, x, absolute_set):
     if tag in bench.ENGINES:
         return lambda k, pool: bench.ENGINES[tag](x, absolute_set, k, 1e-4, pool=pool).selected
     if tag == "random":
-        return lambda k, pool: model.random_select(pool, k, seed=0)
+        return lambda k, pool: model.random_select(x.shape[0], k, pool, seed=0)
     select = model.entropy_select if tag == "entropy" else model.fisher_select
     return lambda k, pool: select(x, np.ones(x.shape[1]), k, pool)
 
@@ -146,9 +146,7 @@ def test_engines_reject_malformed_pools(tag):
     x, absolute_set = random_instance(2, n=12, d=3)
     select = selector(tag, x, absolute_set)
     bad_pools = [[(0, 1), (0, 1)], [(0, 1), (3, 3)], [(0, 1), (5, 2)], [(0, 1), (-1, 3)]]
-    bad_pools += [[(0, 1, 2), (3, 4, 5)], [(0, 1), (0.5, 2)], [(0, 1), (2,)]]
-    if tag != "random":  # the random baseline reads no samples: no upper index bound
-        bad_pools.append([(0, 1), (4, 12)])
+    bad_pools += [[(0, 1, 2), (3, 4, 5)], [(0, 1), (0.5, 2)], [(0, 1), (2,)], [(0, 1), (4, 12)]]
     for pool in bad_pools:
         with pytest.raises(InvalidPool):
             select(1, pool)

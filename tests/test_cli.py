@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -82,6 +84,28 @@ def test_bench(tmp_path):
     )
     assert code == 0
     assert len(json.loads(out.read_text())["rows"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--algorithm", "random", "--synthetic", "n=6,d=2", "--k", "2", "--workers", "1"],
+    ["bench", "--algorithms", "sg", "--synthetic", "n=6,d=2", "--k", "2"],
+])
+def test_csv_format_holds_on_stdout(tmp_path, capsys, argv):
+    out = tmp_path / "report.csv"
+    assert cli.main(argv + ["--format", "csv", "--out", str(out)]) == 0
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    printed, written = capsys.readouterr().out, out.read_text()
+    rows = list(csv.reader(io.StringIO(printed)))
+    assert rows[0] == next(csv.reader(io.StringIO(written)))
+    assert "selected" in rows[0] and len(rows) == len(written.splitlines()) == 2
+    if argv[0] == "select":  # the random baseline reports no wall times
+        assert printed == written
+
+
+@pytest.mark.parametrize("value", ["0", "1", "9"])
+def test_verify_rejects_repeats(capsys, value):
+    assert cli.main(["verify", "--single", "--k", "3", "--workers", "1", "--repeats", value]) == 2
+    assert "unrecognized arguments: --repeats" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

@@ -264,11 +264,13 @@ def test_fisher_pool_guard():
 
 def test_random_select_deterministic():
     pool = [(i, j) for i in range(10) for j in range(i + 1, 10)]
-    a = model.random_select(pool, 5, seed=3)
-    b = model.random_select(pool, 5, seed=3)
-    c = model.random_select(pool, 5, seed=4)
+    a = model.random_select(10, 5, pool, seed=3)
+    b = model.random_select(10, 5, pool, seed=3)
+    c = model.random_select(10, 5, pool, seed=4)
     assert a == b
     assert len(set(a)) == 5 and set(a) <= set(pool)
     assert a != c
+    # no pool is the pair universe, listed in the same order
+    assert model.random_select(10, 5, None, seed=3) == a
     with pytest.raises(ValueError):
-        model.random_select(pool[:3], 5, seed=0)
+        model.random_select(10, 5, pool[:3], seed=0)
