@@ -373,11 +373,14 @@ def _evaluation_repeat(args) -> list[dict]:
         fit = model.map_fit(x, LabeledData(absolute_labels, revealed), config.map_lambda)
         beta = fit.params.beta
 
-        cmp_labels = labels.comparisons(*_pairs_within(test_idx))
-        # one dot product per pair: a matrix-vector product may round differently
-        cmp_scores = [float(beta @ (x[i] - x[j])) for (i, j), _ in cmp_labels]
-        abs_labels = labels.absolute(np.sort(test_idx))
-        abs_scores = [float(beta @ x[i]) for i, _ in abs_labels]
+        # one product over every sample, so no score depends on which pairs a fold holds
+        scores = x @ beta
+        ti, tj = _pairs_within(test_idx)
+        cmp_labels = labels.comparisons(ti, tj)
+        cmp_scores = scores[ti] - scores[tj]
+        test = np.sort(test_idx)
+        abs_labels = labels.absolute(test)
+        abs_scores = scores[test]
         row = {
             "repeat": repeat,
             "fold": fold_idx,

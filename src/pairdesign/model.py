@@ -7,6 +7,12 @@ comparison (i, j) favors i with probability sigmoid(beta . (x_i - x_j));
 L2-regularized logistic regression over the stacked absolute and
 difference covariates.
 
+Pair margins are taken in score space: with s = X beta computed once over
+the N samples, (x_i - x_j) . beta is s_i - s_j, so label draws and entropy
+selection cost O(N d + |C|) time and memory over a pool C, never |C| x d
+difference rows. The Fisher baseline keeps its difference rows, which its
+information matrices need.
+
 scipy.special (`expit`, `xlogy`) is imported by the functions that use it,
 at their first call, so importing pairdesign or running a design engine
 loads no scipy module.
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import Pair, comparison_feature
+from .design import Pair
 from .errors import DegenerateLabelSet, InstanceTooLarge
 from .greedy import resolve_pool
 
@@ -77,6 +83,7 @@ class SyntheticLabels:
         self._x = x
         self._beta = beta_true
         self._c_a = c_a
+        self._scores = x @ beta_true
         self._rng = np.random.default_rng(seed)
         self._u_abs = self._rng.random(x.shape[0])
         self._u_cmp = None
@@ -95,7 +102,7 @@ class SyntheticLabels:
         n = self._x.shape[0]
         if self._u_cmp is None:
             self._u_cmp = self._rng.random(n * (n - 1) // 2)
-        p = expit((self._x[i] - self._x[j]) @ self._beta)
+        p = expit(self._scores[i] - self._scores[j])
         # position of (i, j) in the lexicographic pair universe
         lin = i * (2 * n - i - 1) // 2 + (j - i - 1)
         y = np.where(self._u_cmp[lin] < p, 1, -1)
@@ -104,11 +111,9 @@ class SyntheticLabels:
 
 def _signed_covariates(x: np.ndarray, data: LabeledData) -> np.ndarray:
     """Rows y * x_i and y * (x_i - x_j); the loss only sees these."""
-    rows = [y * x[i] for i, y in data.absolute]
-    rows += [y * comparison_feature(x, e) for e, y in data.comparisons]
-    if not rows:
-        return np.empty((0, x.shape[1]))
-    return np.array(rows)
+    ia, ya = np.asarray(data.absolute, dtype=np.intp).reshape(-1, 2).T
+    ci, cj, yc = np.asarray([(i, j, y) for (i, j), y in data.comparisons], dtype=np.intp).reshape(-1, 3).T
+    return np.concatenate([ya[:, None] * x[ia], yc[:, None] * (x[ci] - x[cj])])
 
 
 def _loss_and_grad(beta: np.ndarray, signed: np.ndarray, lam: float, expit):
@@ -209,9 +214,11 @@ def entropy_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pa
     from scipy.special import expit, xlogy
 
     i, j = resolve_pool(x.shape[0], pool, k)
-    p = expit((x[i] - x[j]) @ beta_hat)
+    scores = x @ beta_hat
+    p = expit(scores[i] - scores[j])
     entropy = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
-    order = np.lexsort((j, i, -entropy))
+    # the pool is in lexicographic order, so a stable sort breaks ties by pair
+    order = np.argsort(-entropy, kind="stable")
     return _pairs(i, j, order[:k])
 
 

@@ -127,12 +127,17 @@ def aggregate(rows: list[dict], fields: list[str]) -> dict:
 
 
 def _csv_cell(value) -> str:
+    """A flat list of scalars joins with ';'; a dict or a nested list is canonical JSON."""
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list) and not any(isinstance(v, (list, dict)) for v in value):
         return ";".join(_csv_cell(v) for v in value)
+    if isinstance(value, (list, dict)):
+        return canonical_json(value)
     return str(value)
 
 

@@ -102,6 +102,20 @@ def test_csv_format_holds_on_stdout(tmp_path, capsys, argv):
         assert printed == written
 
 
+@pytest.mark.parametrize("argv, columns", [
+    (["verify", "--single", "--k", "2", "--n", "8", "--d", "2"], ["variants", "selected_ng", "exact"]),
+    (["select", "--synthetic", "n=10,d=2", "--k", "3", "--workers", "1"], ["selected"]),
+])
+def test_csv_nested_cells_parse_back_to_the_json_values(capsys, argv, columns):
+    # a dict or a list of pairs is one JSON cell; a boolean is true/false
+    cli.main(argv + ["--format", "csv"])
+    header, row = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    cli.main(argv)
+    expected = json.loads(capsys.readouterr().out)["rows"][0]
+    cells = dict(zip(header, row))
+    assert {c: json.loads(cells[c]) for c in columns} == {c: expected[c] for c in columns}
+
+
 @pytest.mark.parametrize("value", ["0", "1", "9"])
 def test_verify_rejects_repeats(capsys, value):
     assert cli.main(["verify", "--single", "--k", "3", "--workers", "1", "--repeats", value]) == 2

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,18 +117,20 @@ def test_sampler_deterministic():
 
 
 def test_synthetic_labels_threshold_their_uniforms():
-    # sample uniforms first, then one per pair of the lexicographic universe
-    n, c_a, seed = 20, 2.0, (4, 1)
-    x, beta_true = model.sample_synthetic(n, 3, c_a=c_a, seed=4)
-    labels = model.SyntheticLabels(x, beta_true, c_a, seed=seed)
-    rng = np.random.default_rng(seed)
-    u_abs = rng.random(n)
-    u_cmp = rng.random(n * (n - 1) // 2)
-    expected_abs = np.where(u_abs < expit(x @ (beta_true / c_a)), 1, -1)
-    assert labels.absolute(range(n)) == list(enumerate(expected_abs.tolist()))
-    i, j = np.triu_indices(n, k=1)
-    expected_cmp = np.where(u_cmp < expit((x[i] - x[j]) @ beta_true), 1, -1)
-    assert [y for _, y in labels.comparisons(i, j)] == expected_cmp.tolist()
+    # sample uniforms first, then one per pair of the lexicographic universe;
+    # comparisons() scores pairs as s_i - s_j, the per-pair formula is the reference
+    c_a, seed = 2.0, (4, 1)
+    for n, d in ((20, 3), (120, 16)):
+        x, beta_true = model.sample_synthetic(n, d, c_a=c_a, seed=4)
+        labels = model.SyntheticLabels(x, beta_true, c_a, seed=seed)
+        rng = np.random.default_rng(seed)
+        u_abs = rng.random(n)
+        u_cmp = rng.random(n * (n - 1) // 2)
+        expected_abs = np.where(u_abs < expit(x @ (beta_true / c_a)), 1, -1)
+        assert labels.absolute(range(n)) == list(enumerate(expected_abs.tolist()))
+        i, j = np.triu_indices(n, k=1)
+        expected_cmp = np.where(u_cmp < expit((x[i] - x[j]) @ beta_true), 1, -1)
+        assert [y for _, y in labels.comparisons(i, j)] == expected_cmp.tolist()
 
 
 def test_synthetic_labels_do_not_depend_on_query_order():
@@ -240,6 +243,20 @@ def test_entropy_select_tie_rule():
     x, _ = random_instance(2, n=8, d=3)
     pool = [(i, j) for i in range(8) for j in range(i + 1, 8)]
     assert model.entropy_select(x, np.zeros(3), 3, pool) == [(0, 1), (0, 2), (0, 3)]
+
+
+def test_entropy_select_memory_is_linear_in_the_pool():
+    # margins are s_i - s_j from one score per sample, never |C| x d difference rows
+    x, _ = random_instance(3, n=400, d=64)
+    beta = np.random.default_rng(3).normal(size=64)
+    model.entropy_select(x, beta, 5, None)  # first call imports scipy.special
+    tracemalloc.start()
+    try:
+        model.entropy_select(x, beta, 5, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * (400 * 399 // 2)
 
 
 def test_fisher_select_improves_objective():
