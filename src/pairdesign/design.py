@@ -71,6 +71,9 @@ def init_design(x: np.ndarray, absolute_set, lam: float) -> DesignState:
     """Fresh state with S empty; inverts the base matrix directly."""
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
+    if not np.isfinite(x).all():
+        row = int(np.isfinite(x).all(axis=1).argmin())
+        raise ValueError(f"feature row {row} is not finite")
     m = design_matrix(x, absolute_set, [], lam)
     return DesignState(ainv=linalg.invert_spd(m), lam=lam, absolute_set=list(absolute_set))
 

@@ -54,6 +54,10 @@ _BLOCK = 32768
 # The whole pool, as an index that `refresh` can take: a view, not a gather.
 _ALL = slice(None)
 
+# `ndarray.min` through its ufunc, without numpy's Python-level wrapper: a
+# lazy refresh round asks it once per block of a few dozen entries.
+_min = np.minimum.reduce
+
 
 def resolve_pool(n: int, pool, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (I, J) of a candidate pool, lexicographic order.
@@ -138,7 +142,8 @@ def quadratic_gains(x: np.ndarray, pi: np.ndarray, pj: np.ndarray, ainv: np.ndar
     scratch to reuse: it skips the blocking's few microseconds of set-up.
     """
     if len(pi) * x.shape[1] <= _BLOCK:
-        diff = x[pi] - x[pj] if rows is None else rows
+        # `take` gathers the same rows as x[pi], at half the call's cost
+        diff = x.take(pi, axis=0) - x.take(pj, axis=0) if rows is None else rows
         return np.einsum("ed,ed->e", diff @ ainv, diff)
     out = np.empty(len(pi))
     blocks = _blocks(len(pi), x.shape[1])
@@ -170,7 +175,7 @@ def _distinct(samples: np.ndarray, n: int) -> np.ndarray:
     samples, read off a length-`n` mask instead of a sort."""
     mask = np.zeros(n, dtype=bool)
     mask[samples] = True
-    return np.flatnonzero(mask)
+    return mask.nonzero()[0]
 
 
 class GainOracle:
@@ -252,7 +257,7 @@ class FactorizationOracle(GainOracle):
             return factorization_gains(self.z, i, j)
         if self.memo == "memoize":
             self._map(np.concatenate((i, j)), it)
-        diff = self.z[i] - self.z[j]
+        diff = self.z.take(i, axis=0) - self.z.take(j, axis=0)
         return np.einsum("ed,ed->e", diff, diff)
 
     def _map(self, samples: np.ndarray, it: int) -> None:
@@ -261,11 +266,12 @@ class FactorizationOracle(GainOracle):
         Each row is its own matrix-vector product: one matrix product over
         the batch rounds a row differently depending on the other rows, and a
         row's value must not depend on which samples were missing with it.
-        The samples are deduplicated through a length-N mask, not a sort.
+        Only the missing samples are deduplicated, through a length-N mask,
+        not a sort.
         """
-        samples = _distinct(samples, len(self._mapped))
         missing = samples[self._mapped[samples] != it]
         if missing.size:
+            missing = _distinct(missing, len(self._mapped))
             self.z[missing] = np.matmul(self.u, self.x[missing, :, None])[:, :, 0]
             self._mapped[missing] = it
             self.computed += missing.size
@@ -292,7 +298,9 @@ class ScalarOracle(GainOracle):
             self.rho = np.zeros((k, x.shape[0]))
         if memo == "memoize":
             self.v = np.zeros((k, x.shape[1]))
-            self._filled = np.zeros(self.rho.shape, dtype=bool)
+            # rho rows filled per sample; `fill` fills each sample's rows
+            # oldest first, so they are always the first `_filled[s]`
+            self._filled = np.zeros(x.shape[0], dtype=np.intp)
 
     def initial(self) -> np.ndarray:
         return self.gains
@@ -304,10 +312,10 @@ class ScalarOracle(GainOracle):
         if self.memo == "memoize":
             self.fill(np.concatenate((i, j)), it)
         rows = self.rho[:it]
-        diff = rows[:, i] - rows[:, j]
+        diff = rows.take(i, axis=1) - rows.take(j, axis=1)
         diff *= diff
         # cumsum adds the rows strictly in order, whatever the block's width
-        return self.gains[b] - np.cumsum(diff, axis=0)[-1]
+        return self.gains[b] - diff.cumsum(axis=0)[-1]
 
     def update(self, pair: Pair, it: int) -> None:
         v = linalg.scalar_downdate(self.state.ainv, comparison_feature(self.x, pair))
@@ -322,14 +330,19 @@ class ScalarOracle(GainOracle):
     def fill(self, samples: np.ndarray, stop: int) -> None:
         """Fill rho_{l,s} for l < stop and every s in `samples`, computing
         only the entries not filled yet; v_l is fixed once iteration l ends.
-        The samples are deduplicated through a length-N mask, not a sort."""
-        samples = _distinct(samples, self.rho.shape[1])
-        rows, cols = np.nonzero(~self._filled[:stop, samples])
-        if rows.size == 0:
+        Unless every entry is filled already, the entries are read off a
+        mask over the unfilled rows and all N samples, not a sort: once
+        each, oldest row first, in sample order within a row."""
+        filled = self._filled[samples]
+        start = int(_min(filled, initial=stop))
+        if start == stop:
             return
-        cols = samples[cols]
-        self.rho[rows, cols] = np.einsum("ed,ed->e", self.v[rows], self.x[cols])
-        self._filled[rows, cols] = True
+        first = np.full(len(self._filled), stop)
+        first[samples] = filled
+        rows, cols = (np.arange(start, stop)[:, None] >= first).nonzero()
+        rows += start
+        self.rho[rows, cols] = np.einsum("ed,ed->e", self.v.take(rows, axis=0), self.x.take(cols, axis=0))
+        self._filled[samples] = np.maximum(filled, stop)
         self.computed += rows.size
 
 
@@ -389,6 +402,7 @@ class Engine:
         find_max_seconds: list[float] = []
         update_seconds: list[float] = []
         memo_counts = None if oracle.computed is None else []
+        computed = 0
 
         for it in range(k):
             t1 = clock()
@@ -403,7 +417,8 @@ class Engine:
             oracle.update(pair, it)
             update_seconds.append(clock() - t2)
             if memo_counts is not None:
-                memo_counts.append(oracle.computed - sum(memo_counts))
+                memo_counts.append(oracle.computed - computed)
+                computed = oracle.computed
 
         return SelectionTrace(
             variant=self.tag,

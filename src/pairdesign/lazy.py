@@ -9,11 +9,14 @@ one vectorised call; that block takes half as many entries as the previous
 pick needed. Each refreshed entry is then fresh and its bound is at most the
 best fresh gain, so the next block is read off the bounds alone: the
 entries above the best gain, or equal to it at a smaller pool index than the
-one holding it, which are all stale. A block takes at most as many entries
-as were refreshed so far, the largest first, and the pick ends when none is
-left. The best fresh gain then beats every stale bound, and on equal values
-the smaller pool index, which is the smaller pair, wins: the acceptance rule
-of a one-at-a-time max-heap search, which the tests keep as a reference.
+one holding it, which are all stale. One pass over the bounds reads them
+after the first block; as the gain only rises within a pick, each later
+round reads them off the previous round's list. A block takes at most as
+many entries as were refreshed so far, the largest first, and the pick ends
+when none is left, or once a block took all of them. The best fresh gain
+then beats every stale bound, and on equal values the smaller pool index,
+which is the smaller pair, wins: the acceptance rule of a one-at-a-time
+max-heap search, which the tests keep as a reference.
 
 The lazy engines of `bench.ENGINES` run this search over the gain oracles
 of `greedy.py`:
@@ -39,33 +42,55 @@ from .heap import LazyHeap  # noqa: F401
 # Fewest entries a refresh block takes.
 _MIN_BLOCK = 16
 
+# The reductions a refresh round makes, called as ufunc methods rather than
+# through numpy's Python-level wrappers, which cost more than the reduction
+# itself on a block of a few dozen entries.
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+
 
 def _checked_stamps(stamp: np.ndarray, b: np.ndarray, it: int) -> None:
     stamps = stamp[b]
-    if stamps.size and stamps.max() > it:
+    if stamps.size and _max(stamps) > it:
         at = int(stamps.argmax())
         raise StaleStampCorruption(f"entry {int(b[at])} stamped {int(stamps[at])} at iteration {it}")
 
 
-def _accept(bound: np.ndarray, b: np.ndarray, values: np.ndarray, gain: float, best: int):
-    """Acceptance rule: fold the refreshed `values` of entries `b` into the
-    best fresh `gain` of the pick, held at pool index `best`.
-
-    Returns the new gain and best, the smallest pool index holding it, and
-    the entries that could still beat it, in index order: the bounds above
-    the gain, and those equal to it before `best`. Every entry refreshed in
-    the pick has a bound at most the gain, equal to it only from `best` on,
-    so all of these are stale. A stale bound above the gain might beat it;
-    one equal to it beats it only at a smaller index, the smaller pair.
-    """
-    top = values.max()
+def _fold(b: np.ndarray, values: np.ndarray, gain: float, best: int) -> tuple[float, int]:
+    """Fold the refreshed `values` of entries `b` into the best fresh `gain`
+    of the pick, held at pool index `best`: the new gain, and the smallest
+    pool index holding it."""
+    top = _max(values)
     if top >= gain:
-        at = int(b[values == top].min())
+        at = int(_min(b[values == top]))
         best = at if top > gain else min(best, at)
         gain = top
-    above = np.flatnonzero(bound[best + 1:] > gain)
-    above += best + 1
-    return gain, best, np.concatenate((np.flatnonzero(bound[:best] >= gain), above))
+    return gain, best
+
+
+def _accept(bound: np.ndarray, b: np.ndarray, values: np.ndarray, gain: float, best: int,
+            pending: np.ndarray | None = None):
+    """Acceptance rule: fold the refreshed `values` of entries `b` into the
+    best fresh `gain` of the pick, held at pool index `best` (see `_fold`).
+
+    Returns the new gain and best, and the entries that could still beat
+    the gain, in index order: the bounds above it, and those equal to it
+    before `best`. Every entry refreshed in the pick has a bound at most the
+    gain, equal to it only from `best` on, so all of these are stale. A
+    stale bound above the gain might beat it; one equal to it beats it only
+    at a smaller index, the smaller pair.
+
+    The gain never falls within a pick, and a stale bound never changes, so
+    these entries are among those returned for the previous block. Given
+    those as `pending`, in index order, they are read off that list; else
+    off the bounds, in one pass.
+    """
+    gain, best = _fold(b, values, gain, best)
+    if pending is None:
+        c = (bound >= gain).nonzero()[0]
+    else:
+        c = pending[bound[pending] >= gain]
+    return gain, best, c[(c < best) | (bound[c] > gain)]
 
 
 class BlockSearch:
@@ -90,26 +115,36 @@ class BlockSearch:
             # every live entry is stale: its stamp is below `it`
             n_pairs = len(bound)
             if self.block < n_pairs - it:
-                b = np.argpartition(bound, n_pairs - self.block)[n_pairs - self.block:]
+                b = bound.argpartition(n_pairs - self.block)[n_pairs - self.block:]
             else:
-                b = np.flatnonzero(bound != -np.inf)
+                b = (bound != -np.inf).nonzero()[0]
             gain, best = -np.inf, n_pairs
             old_bounds = []
-            while b.size:
+            pending = None  # the entries that could beat the gain, once read
+            while True:
                 _checked_stamps(stamp, b, it)
                 old_bounds.append(bound[b])
                 values = oracle.refresh(b, it)
                 bound[b] = values
                 stamp[b] = it
                 touches += b.size
-                gain, best, b = _accept(bound, b, values, gain, best)
+                if b is pending:
+                    # the block took every entry that could beat the gain:
+                    # whatever it holds, none is left
+                    gain, best = _fold(b, values, gain, best)
+                    break
+                gain, best, pending = _accept(bound, b, values, gain, best, pending)
                 # refresh at most as many again, those with the largest bounds
                 cap = max(_MIN_BLOCK, touches)
-                if b.size > cap:
-                    b = b[np.argpartition(bound[b], b.size - cap)[b.size - cap:]]
+                if pending.size > cap:
+                    b = pending[bound[pending].argpartition(pending.size - cap)[pending.size - cap:]]
+                elif pending.size:
+                    b = pending
+                else:
+                    break
             # a one-at-a-time search refreshes every stale bound that reaches
             # the winning gain; the next first block takes half as many
-            needed = sum(int(np.count_nonzero(old >= gain)) for old in old_bounds)
+            needed = int(np.count_nonzero(np.concatenate(old_bounds) >= gain))
             self.block = max(_MIN_BLOCK, needed // 2)
         self.touch_counts.append(touches)
         bound[best] = -np.inf

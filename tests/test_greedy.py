@@ -89,6 +89,17 @@ def test_k_exceeding_pool_raises():
         bench.ENGINES["sg"](x, absolute_set, 3, LAM, pool=[(0, 1)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_engines_reject_non_finite_features(bad):
+    x, absolute_set = random_instance(4, n=12, d=3)
+    x[4, 1] = bad
+    for tag, engine in bench.ENGINES.items():
+        with pytest.raises(ValueError, match="feature row 4 is not finite"):
+            engine(x, absolute_set, 5, LAM)
+        with pytest.raises(ValueError, match="feature row 4 is not finite"):
+            engine(x, [], 5, LAM, pool=[(0, 1), (2, 3), (5, 6), (7, 8), (9, 10)])
+
+
 def test_timing_fields_populated():
     x, absolute_set = random_instance(2, n=15, d=4)
     trace = bench.ENGINES["ng"](x, absolute_set, 5, LAM)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairdesign import bench, design, greedy, lazy, linalg
 from pairdesign.errors import StaleStampCorruption
@@ -124,7 +126,7 @@ def assert_matches_reference_blocks(x, absolute_set, k, pool=None):
         trace = engine(x, absolute_set, k, LAM, pool=pool)
         ref = dataclasses.replace(engine, search=ReferenceBlockSearch)(x, absolute_set, k, LAM, pool=pool)
         assert trace.selected == ref.selected, tag
-        assert np.array_equal(trace.gains, ref.gains), tag
+        assert np.asarray(trace.gains).tobytes() == np.asarray(ref.gains).tobytes(), tag
         assert trace.touch_counts == ref.touch_counts, tag
         assert trace.memo_counts == ref.memo_counts, tag
 
@@ -231,6 +233,76 @@ def test_accepts_tie_rule():
     assert pending(1.9, 0)[0].tolist() == [3]
 
 
+def accept_by_brute_force(bound, b, gain, best):
+    """The acceptance rule entry by entry: the best gain after the block `b`
+    is refreshed, the smallest index holding it, and every entry that could
+    still beat it (a bound above it, or equal to it at a smaller index)."""
+    gain = max([gain] + [bound[e] for e in b])
+    best = min([e for e in b if bound[e] == gain] + ([best] if best < len(bound) and bound[best] == gain else [len(bound)]))
+    pending = [e for e in range(len(bound)) if bound[e] > gain or (bound[e] == gain and e < best)]
+    return gain, best, pending
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_accept_matches_the_rule_by_brute_force(data):
+    # few distinct values, -inf among them, so that ties fall before, at
+    # and after the best entry
+    n = data.draw(st.integers(1, 24))
+    bound = np.array(data.draw(st.lists(st.sampled_from([-np.inf, 0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n)))
+    b = np.array(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))], dtype=np.intp)
+    if data.draw(st.booleans()):
+        gain, best = -np.inf, n  # the first block of a pick
+    else:
+        best = data.draw(st.sampled_from(sorted(set(range(n)) - set(b.tolist())) or [n]))
+        gain = bound[best] if best < n else -np.inf
+    expected = accept_by_brute_force(bound, b.tolist(), gain, best)
+    got = lazy._accept(bound, b, bound[b], gain, best)
+    assert (got[0], got[1], got[2].tolist()) == expected
+    # the same entries read off any index-ordered list that holds them
+    extra = data.draw(st.sets(st.integers(0, n - 1)))
+    pending = np.array(sorted(set(expected[2]) | extra), dtype=np.intp)
+    got = lazy._accept(bound, b, bound[b], gain, best, pending)
+    assert (got[0], got[1], got[2].tolist()) == expected
+
+
+def test_memo_maps_and_fills_each_new_entry_once():
+    x, absolute_set = random_instance(29, n=20, d=5)
+    pi, pj = design.pair_arrays(20)
+    flm = greedy.FactorizationOracle(x, absolute_set, LAM, pi, pj, 3, "memoize")
+    flm.initial()
+    flm.update((0, 7), 0)
+    flm.refresh(np.flatnonzero((pi == 0) & (pj == 7)), 1)  # maps rows 0 and 7
+    assert flm.computed == 2
+    held = flm.z.copy()
+    flm._map(np.array([7, 3, 3, 0, 9, 7, 9, 3]), 1)
+    assert flm.computed == 4  # rows 3 and 9, once each
+    assert flm.z[[0, 7]].tobytes() == held[[0, 7]].tobytes()
+    assert np.allclose(flm.z[[3, 9]], x[[3, 9]] @ flm.u.T, rtol=1e-12, atol=1e-12)
+    held = flm.z.copy()
+    flm._map(np.array([9, 0, 9, 3]), 1)
+    assert flm.computed == 4 and flm.z.tobytes() == held.tobytes()
+
+    slm = greedy.ScalarOracle(x, absolute_set, LAM, pi, pj, 4, "memoize")
+    pre = greedy.ScalarOracle(x, absolute_set, LAM, pi, pj, 4, "precompute")
+    for it, pair in enumerate([(0, 7), (3, 19), (5, 11)]):
+        slm.update(pair, it)
+        pre.update(pair, it)
+    slm.fill(np.array([2, 2]), 1)
+    assert slm.computed == 1
+    held = slm.rho.copy()
+    # rows 1-2 of sample 2 and rows 0-2 of sample 4, each once
+    slm.fill(np.array([2, 4, 2, 4, 2]), 3)
+    assert slm.computed == 6
+    assert slm.rho[0, 2].tobytes() == held[0, 2].tobytes()
+    assert np.allclose(slm.rho[:3, [2, 4]], pre.rho[:3, [2, 4]], rtol=1e-14)
+    held = slm.rho.copy()
+    slm.fill(np.array([4, 2, 4]), 2)
+    slm.fill(np.array([2, 4]), 3)
+    assert slm.computed == 6 and slm.rho.tobytes() == held.tobytes()
+    assert not slm.rho[:, [0, 1, 3]].any() and not slm.rho[3:].any()
+
+
 class _ConstantOracle:
     def refresh(self, b, it):
         return np.full(len(b), 0.5)
@@ -266,6 +338,12 @@ def test_block_rounds_match_the_reference_search():
     x, absolute_set = random_instance(11, n=24, d=5)
     pool = [(i, j) for i in range(24) for j in range(i + 1, 24) if (i + j) % 3]
     assert_matches_reference_blocks(x, absolute_set, 12, pool=pool)
+
+
+def test_block_rounds_match_the_reference_search_at_benchmark_scale():
+    # perfbench's `many-pairs` shape: 3,160 pairs, a few dozen rounds per run
+    x, absolute_set, _ = bench.make_instance(0, 80, 48, n_absolute=10)
+    assert_matches_reference_blocks(x, absolute_set, 20)
 
 
 def test_array_search_matches_heap_oracle_on_gaussian_instances():
