@@ -45,7 +45,8 @@ class DesignState:
     """Evolving inverse design matrix plus selection bookkeeping.
 
     `ainv` tracks the inverse of the design matrix for the current selected
-    set and is advanced in place by rank-one downdates.
+    set and is advanced by rank-one downdates; a scalar gain oracle keeps
+    it as the base inverse and holds its updates apart (`greedy.ScalarOracle`).
     """
 
     ainv: np.ndarray

@@ -14,16 +14,19 @@ oracle yields d_e = x_e^T A^-1 x_e:
   for all pairs;
 * `ScalarOracle`: compute all d_e once, then downdate them by
   (v.x_i - v.x_j)^2 per iteration, O(N d + |C|) after an O(N^2 d)
-  preprocessing, plus the O(d^2) in-place downdate A^-1 -= v v^T that
-  yields v.
+  preprocessing, plus O(d^2 + t d) to form the t-th update vector v from
+  the base inverse A_0^-1 and the earlier vectors, with no d x d write.
 
 The search decides which gains to ask for: the eager search here (`ng`,
 `fg`, `sg`) asks for every pair's gain each iteration; the lazy block search
 in `lazy.py` (`nl`, `flp`, `flm`, `slp`, `slm`) asks only for the stale
 gains that could still win.
 
-A^-1 is advanced by rank-one downdates only and never rebuilt mid-run;
-`design.refresh_state` rebuilds it from scratch outside the engines.
+The naive and factorization oracles advance A^-1 (their `state.ainv`) by
+rank-one downdates only and never rebuild it mid-run. The scalar oracles
+hold A^-1 in product form, A_0^-1 - V^T V: `state.ainv` stays the base
+inverse A_0^-1 and the update vectors V grow by one row per selection.
+`design.refresh_state` rebuilds an inverse from scratch outside the engines.
 
 Every selector, engine or baseline, reads its pool through `resolve_pool`,
 as index arrays (I, J) in lexicographic pair order. Ties in d_e resolve to
@@ -280,7 +283,10 @@ class FactorizationOracle(GainOracle):
 class ScalarOracle(GainOracle):
     """Gains computed once, then brought current by scalar downdates.
 
-    Each selection downdates A^-1 in place to A^-1 - v v^T. With `memo`
+    A^-1 is held in product form: `state.ainv` stays the base inverse
+    A_0^-1 and row l of `v` is the vector of selection l, with
+    A^-1 = A_0^-1 - sum_{l < it} v_l v_l^T. Each selection forms its v from
+    those (`linalg.update_vector`) and writes no d x d matrix. With `memo`
     None (`sg`) every gain is then downdated in place by (rho_i - rho_j)^2,
     where rho = X v. Otherwise a gain is brought current from its initial
     value by subtracting sum_{l < it} (rho_{l,i} - rho_{l,j})^2, accumulated
@@ -294,10 +300,10 @@ class ScalarOracle(GainOracle):
     def __init__(self, x, absolute_set, lam, pi, pj, k, memo=None):
         super().__init__(x, absolute_set, lam, pi, pj, k, memo)
         self.gains = super().initial()
+        self.v = np.zeros((k, x.shape[1]))
         if memo is not None:
             self.rho = np.zeros((k, x.shape[0]))
         if memo == "memoize":
-            self.v = np.zeros((k, x.shape[1]))
             # rho rows filled per sample; `fill` fills each sample's rows
             # oldest first, so they are always the first `_filled[s]`
             self._filled = np.zeros(x.shape[0], dtype=np.intp)
@@ -318,12 +324,11 @@ class ScalarOracle(GainOracle):
         return self.gains[b] - diff.cumsum(axis=0)[-1]
 
     def update(self, pair: Pair, it: int) -> None:
-        v = linalg.scalar_downdate(self.state.ainv, comparison_feature(self.x, pair))
-        if self.memo == "memoize":
-            self.v[it] = v
-        elif self.memo == "precompute":
+        v = linalg.update_vector(self.state.ainv, comparison_feature(self.x, pair), self.v[:it])
+        self.v[it] = v
+        if self.memo == "precompute":
             self.rho[it] = self.x @ v
-        else:
+        elif self.memo is None:
             rho = self.x @ v
             self.gains -= (rho[self.pi] - rho[self.pj]) ** 2
 

@@ -9,9 +9,15 @@ and (j, i) of v v^T are the same IEEE product v_i * v_j, and every further
 step is elementwise. Symmetrizing a downdate would change no bit, so the
 downdates skip it. `design.design_matrix` also symmetrizes, because the exact
 symmetry of `xa.T @ xa` depends on which BLAS routine numpy picks for it.
+
+The scalar-update engines keep the same chain in product form,
+A^-1 = A_0^-1 - V^T V, and write no d x d matrix after preprocessing:
+`update_vector` forms each new vector from A_0^-1 and the earlier rows of V.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -85,11 +91,22 @@ def _lower_inverse(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _update_denominator(ainv: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+def _update_denominator(ainv: np.ndarray, x: np.ndarray,
+                        earlier: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """a = A^-1 x and the denominator 1 + x^T a of the update by x, which
+    must be positive and finite.
+
+    With `earlier`, A^-1 is in product form: `ainv` is A_0^-1 and `earlier`
+    the (t, d) block V of the update vectors since, so a = A_0^-1 x - V^T (V x).
+    """
     ax = ainv @ x
+    if earlier is not None:
+        # np.dot skips matmul's per-call set-up, most of the cost at small d
+        ax -= np.dot(earlier.dot(x), earlier)
     denom = 1.0 + float(x @ ax)
-    if denom <= _DEGENERATE_TOL:
-        raise DegenerateUpdate(f"1 + x^T A^-1 x = {denom!r}; inverse state is corrupted")
+    # NaN fails both comparisons, so a non-finite denominator raises as well
+    if not _DEGENERATE_TOL < denom < math.inf:
+        raise DegenerateUpdate(f"1 + x^T A^-1 x = {denom!r}; inverse state is corrupted or x is too large")
     return ax, denom
 
 
@@ -105,18 +122,12 @@ def sherman_morrison_downdate(ainv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.subtract(ainv, out, out=out)
 
 
-def update_vector(ainv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vector v with A^-1 - v v^T = (A + x x^T)^-1.
+def update_vector(ainv: np.ndarray, x: np.ndarray, earlier: np.ndarray | None = None) -> np.ndarray:
+    """Vector v with A^-1 - v v^T = (A + x x^T)^-1, with A^-1 given as for
+    `_update_denominator`.
 
-    Both scalar-update engines reuse v: its inner products with the sample
+    The scalar-update engines reuse v: its inner products with the sample
     features drive the O(1)-per-pair gain downdates.
     """
-    ax, denom = _update_denominator(ainv, x)
-    return ax / np.sqrt(denom)
-
-
-def scalar_downdate(ainv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Advance `ainv` in place to (A + x x^T)^-1 = A^-1 - v v^T; return v."""
-    v = update_vector(ainv, x)
-    ainv -= np.multiply.outer(v, v)
-    return v
+    ax, denom = _update_denominator(ainv, x, earlier)
+    return ax / math.sqrt(denom)

@@ -133,12 +133,18 @@ def test_criterion_04_scalar_update_drift(capsys):
     rng = np.random.default_rng(17)
     probes = [tuple(sorted(rng.choice(200, 2, replace=False).tolist())) for _ in range(40)]
     stale = {e: design.proxy_gain(state2, x2, e) for e in probes}
+    # the oracle forms v in product form, from the base inverse and the
+    # earlier vectors; it stays within 1e-8 of the explicitly downdated v
+    ainv0, vs = state2.ainv.copy(), np.zeros((50, 20))
     for it in range(50):
         i, j = sorted(rng.choice(200, 2, replace=False).tolist())
         xe = design.comparison_feature(x2, (int(i), int(j)))
         v = linalg.update_vector(state2.ainv, xe)
+        a = ainv0 @ xe - np.dot(vs[:it].dot(xe), vs[:it])
+        vs[it] = a / math.sqrt(1.0 + float(xe @ a))
         history.update((int(i), int(j)), it)
-        assert np.array_equal(history.rho[it], x2 @ v)
+        assert np.array_equal(history.rho[it], x2 @ vs[it])
+        assert np.max(np.abs(vs[it] - v)) <= 1e-8 * np.max(np.abs(v))
         state2.ainv = linalg.symmetrize(state2.ainv - np.outer(v, v))
     lazy_drift = 0.0
     for (i, j), g0 in stale.items():

@@ -1,12 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pairdesign import bench, cli, data_io
 from pairdesign.errors import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_select_synthetic(tmp_path, capsys):
@@ -176,6 +182,27 @@ def test_library_errors_exit_4(capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_overflowing_features_exit_4(tmp_path, capsys):
+    # a finite but huge feature overflows the update denominator
+    x = np.random.default_rng(0).normal(size=(6, 3))
+    x[2, 1] = 1e308
+    data_io.write_features(tmp_path / "f.csv", x)
+    data_io.write_absolute(tmp_path / "a.csv", [(0, 1), (1, -1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["select", "--features", str(tmp_path / "f.csv"),
+                         "--absolute", str(tmp_path / "a.csv"), "--k", "2", "--workers", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_module_entry_point_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "pairdesign", "--help"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: pairdesign")
 
 
 def test_help_exits_zero():

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pairdesign import bench, design, greedy, lazy
+from pairdesign import bench, design, greedy, lazy, linalg
+from pairdesign.errors import PairDesignError
 
 from conftest import pair_list, random_instance, random_spd
 
@@ -73,6 +74,30 @@ def test_scalar_drift_bounded():
     assert np.max(np.abs(cached[mask] - fresh[mask])) <= 1e-7
 
 
+@pytest.mark.parametrize("lam", [1e-4, 1e4])
+@pytest.mark.parametrize("scale", [1e-6, 1.0])
+@pytest.mark.parametrize("n,d", [(50, 20), (40, 60), (80, 48)])
+def test_scalar_engine_gains_match_a_rebuilt_inverse(n, d, scale, lam):
+    # every pick's gain of the scalar engines, which hold A^-1 in product
+    # form, is within 1e-9 relative of a fresh quadratic form under A^-1
+    # rebuilt from scratch at that pick; the picks are ng's
+    k = 20
+    for seed in range(3):
+        x, absolute_set = random_instance(seed, n=n, d=d)
+        x = x * scale
+        ng = bench.ENGINES["ng"](x, absolute_set, k, lam)
+        fresh = []
+        for it, e in enumerate(ng.selected):
+            ainv = linalg.invert_spd(design.design_matrix(x, absolute_set, ng.selected[:it], lam))
+            xe = design.comparison_feature(x, e)
+            fresh.append(float(xe @ ainv @ xe))
+        for tag in ("sg", "slp", "slm"):
+            trace = bench.ENGINES[tag](x, absolute_set, k, lam)
+            assert trace.selected == ng.selected
+            drift = np.abs(np.array(trace.gains) - fresh) / np.array(fresh)
+            assert drift.max() <= 1e-9, (tag, seed)
+
+
 def test_pool_restriction():
     x, absolute_set = random_instance(8, n=20, d=5)
     pool = [(0, 5), (2, 9), (1, 3), (4, 17), (10, 11)]
@@ -98,6 +123,17 @@ def test_engines_reject_non_finite_features(bad):
             engine(x, absolute_set, 5, LAM)
         with pytest.raises(ValueError, match="feature row 4 is not finite"):
             engine(x, [], 5, LAM, pool=[(0, 1), (2, 3), (5, 6), (7, 8), (9, 10)])
+
+
+def test_engines_reject_overflowing_features():
+    # a finite but huge feature overflows 1 + x^T A^-1 x: every engine
+    # raises instead of returning NaN gains or failing inside its search
+    x, absolute_set = random_instance(4, n=12, d=3)
+    x[4, 1] = 1e308
+    for tag, engine in bench.ENGINES.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PairDesignError):
+                engine(x, [i for i in absolute_set if i != 4], 5, LAM)
 
 
 def test_timing_fields_populated():

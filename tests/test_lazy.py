@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -184,12 +185,18 @@ def test_scalar_stale_adaptation_matches_fresh_gain():
     probes = [(0, 1), (5, 30), (12, 44), (2, 59)]
     stale = {e: design.proxy_gain(state, x, e) for e in probes}
     rng = np.random.default_rng(17)
+    # the oracle forms v in product form, from the base inverse and the
+    # earlier vectors; it stays within 1e-8 of the explicitly downdated v
+    ainv0, vs = state.ainv.copy(), np.zeros((50, 10))
     for it in range(50):
         i, j = sorted(rng.choice(60, size=2, replace=False).tolist())
         xe = design.comparison_feature(x, (int(i), int(j)))
         v = linalg.update_vector(state.ainv, xe)
+        a = ainv0 @ xe - np.dot(vs[:it].dot(xe), vs[:it])
+        vs[it] = a / math.sqrt(1.0 + float(xe @ a))
         history.update((int(i), int(j)), it)
-        assert np.array_equal(history.rho[it], x @ v)
+        assert np.array_equal(history.rho[it], x @ vs[it])
+        assert np.max(np.abs(vs[it] - v)) <= 1e-8 * np.max(np.abs(v))
         state.ainv = linalg.symmetrize(state.ainv - np.outer(v, v))
     for e in probes:
         i, j = e

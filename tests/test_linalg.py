@@ -130,10 +130,19 @@ def test_update_vector_cross_check(rng):
 
 
 def test_degenerate_update_raises():
-    with pytest.raises(DegenerateUpdate):
-        linalg.sherman_morrison_downdate(-np.eye(3), np.ones(3) * 2.0)
-    with pytest.raises(DegenerateUpdate):
-        linalg.update_vector(-np.eye(3), np.ones(3) * 2.0)
+    # a non-positive denominator 1 + x^T A^-1 x, and a non-finite one: a
+    # finite but huge x overflows it to inf, or to NaN through inf - inf
+    cases = [(-np.eye(3), np.ones(3) * 2.0)] + [
+        (np.eye(3), np.array(x)) for x in ([1e308, 0.0, 0.0], [1e200, -1e200, 1.0], [np.nan, 0.0, 0.0])
+    ]
+    for ainv, x in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateUpdate):
+                linalg.sherman_morrison_downdate(ainv, x)
+            with pytest.raises(DegenerateUpdate):
+                linalg.update_vector(ainv, x)
+            with pytest.raises(DegenerateUpdate):
+                linalg.update_vector(ainv, x, np.zeros((2, 3)))
 
 
 def _downdate_chain(d, steps=300):
@@ -156,13 +165,40 @@ def test_sherman_morrison_chain_is_exactly_symmetric_and_matches_symmetrized_for
         ainv = down
 
 
+def scalar_downdate(ainv, x):
+    """Advance `ainv` in place to (A + x x^T)^-1 = A^-1 - v v^T; return v.
+
+    The explicit form of the scalar engines' product-form chain.
+    """
+    v = linalg.update_vector(ainv, x)
+    ainv -= np.multiply.outer(v, v)
+    return v
+
+
 @pytest.mark.parametrize("d", [1, 7, 48, 96])
 def test_scalar_downdate_chain_is_exactly_symmetric_and_matches_symmetrized_formula(d):
     ainv, xs = _downdate_chain(d)
     for x in xs:
         v_expected = linalg.update_vector(ainv, x)
         expected = linalg.symmetrize(ainv - np.outer(v_expected, v_expected))
-        v = linalg.scalar_downdate(ainv, x)
+        v = scalar_downdate(ainv, x)
         assert np.array_equal(v, v_expected)
         assert np.array_equal(ainv, expected)
         assert np.array_equal(ainv, ainv.T)
+
+
+def test_product_form_update_vector_matches_explicit_chain():
+    # update_vector from the base inverse and the earlier vectors forms
+    # a = A_0^-1 x - V^T (V x), bit for bit, and stays within 1e-8 relative
+    # of the vector formed from the explicitly downdated inverse
+    for d in (1, 7, 48, 96):
+        ainv0, xs = _downdate_chain(d, steps=60)
+        ainv, vs = ainv0.copy(), np.zeros((len(xs), d))
+        for t, x in enumerate(xs):
+            v = linalg.update_vector(ainv0, x, vs[:t])
+            a = ainv0 @ x - np.dot(vs[:t].dot(x), vs[:t])
+            assert np.array_equal(v, a / math.sqrt(1.0 + float(x @ a)))
+            explicit = linalg.update_vector(ainv, x)
+            assert np.max(np.abs(v - explicit)) <= 1e-8 * np.max(np.abs(explicit))
+            vs[t] = v
+            scalar_downdate(ainv, x)
