@@ -135,12 +135,18 @@ def resolve_workers(config: RunConfig) -> int:
 
 
 def _pmap(fn, items, workers):
+    """[fn(item) for item in items], over `workers` processes that run under
+    this process's numpy error state."""
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_errstate, initargs=(np.geterr(),)) as pool:
         return list(pool.map(fn, items))
+
+
+def _set_errstate(errstate: dict) -> None:
+    np.seterr(**errstate)
 
 
 def make_instance(seed, n, d, sigma_x=1.0, sigma_beta=1.0, c_a=1.2, n_absolute=10):

@@ -129,6 +129,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
+    # Floating-point overflow in the engines surfaces as a library error (for
+    # example DegenerateUpdate); numpy's RuntimeWarnings on the way there would
+    # only clutter stderr. One error state for the command, not one per pick;
+    # `bench` hands it on to worker processes.
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        return _run(parser, args)
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         config = _build_config(args)
         if args.command == "select":

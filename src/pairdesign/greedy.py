@@ -9,9 +9,10 @@ oracle yields d_e = x_e^T A^-1 x_e:
   a block and its product stay in cache; for `ng` it holds the pool's
   rows (|C| d 8 bytes) for pools up to `_CHUNK` = 65,536 pairs, and a
   larger pool gathers each block's rows anew each iteration;
-* `FactorizationOracle`: factor A^-1 = U^T U once per iteration, on first
-  use, map samples through U, then d_e = ||z_i - z_j||^2, O(N d^2 + |C| d)
-  for all pairs;
+* `FactorizationOracle`: map samples through A^-1 itself once per
+  iteration, on first use, as z_i = A^-1 x_i and q_i = x_i.z_i, then
+  d_e = q_i + q_j - 2 x_i.z_j, O(N d^2 + N^2 d) for all pairs, with no
+  d^3 term: no pick factors a matrix;
 * `ScalarOracle`: compute all d_e once, then downdate them by
   (v.x_i - v.x_j)^2 per iteration, O(N d + |C|) after an O(N^2 d)
   preprocessing, plus O(d^2 + t d) to form the t-th update vector v from
@@ -23,7 +24,9 @@ in `lazy.py` (`nl`, `flp`, `flm`, `slp`, `slm`) asks only for the stale
 gains that could still win.
 
 The naive and factorization oracles advance A^-1 (their `state.ainv`) by
-rank-one downdates only and never rebuild it mid-run. The scalar oracles
+rank-one downdates only and never rebuild or factor it mid-run: the one
+Cholesky factor of a run is taken in preprocessing, so no engine raises
+`NotPositiveDefinite` after it. The scalar oracles
 hold A^-1 in product form, A_0^-1 - V^T V: `state.ainv` stays the base
 inverse A_0^-1 and the update vectors V grow by one row per selection.
 `design.refresh_state` rebuilds an inverse from scratch outside the engines.
@@ -165,12 +168,17 @@ def quadratic_gains(x: np.ndarray, pi: np.ndarray, pj: np.ndarray, ainv: np.ndar
     return out
 
 
-def factorization_gains(z: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
-    """d_e = ||z_i - z_j||^2 via the Gram matrix of the mapped samples."""
-    gram = z @ z.T
-    sq = np.einsum("nd,nd->n", z, z)
+def factorization_gains(x: np.ndarray, z: np.ndarray, q: np.ndarray, pi: np.ndarray,
+                        pj: np.ndarray) -> np.ndarray:
+    """d_e = q_i + q_j - 2 x_i.z_j for every candidate, via the Gram matrix X Z^T.
+
+    With z_i = M x_i and q_i = x_i.z_i for a symmetric M, that is
+    (x_i - x_j)^T M (x_i - x_j): M = A^-1 gives the gain. So does x = z =
+    X U^T with U^T U = A^-1, where d_e = ||z_i - z_j||^2.
+    """
+    gram = x @ z.T
     # gram[pi, pj] through flat indices: the same values, a cheaper gather
-    return sq[pi] + sq[pj] - 2.0 * np.take(gram, pi * len(z) + pj)
+    return q[pi] + q[pj] - 2.0 * np.take(gram, pi * len(z) + pj)
 
 
 def _distinct(samples: np.ndarray, n: int) -> np.ndarray:
@@ -200,9 +208,8 @@ class GainOracle:
 
     def initial(self) -> np.ndarray:
         """Every gain in Gram form, through a factor of the base A^-1."""
-        self.u = linalg.gram_factor(self.state.ainv)
-        self.z = self.x @ self.u.T
-        return factorization_gains(self.z, self.pi, self.pj)
+        z = self.x @ linalg.gram_factor(self.state.ainv).T
+        return factorization_gains(z, z, np.einsum("nd,nd->n", z, z), self.pi, self.pj)
 
     def update(self, pair: Pair, it: int) -> None:
         xe = comparison_feature(self.x, pair)
@@ -229,42 +236,40 @@ class NaiveOracle(GainOracle):
 
 
 class FactorizationOracle(GainOracle):
-    """Gains as squared distances between samples mapped through U.
+    """Gains through the samples mapped by the A^-1 that the downdates keep.
 
-    U with U^T U = A^-1 is factored at the first refresh of an iteration.
-    With `memo` None (`fg`) the gains come in Gram form over every mapped
-    sample; otherwise as row differences, with every sample mapped on
-    factoring ("precompute") or each sample on its first use within the
-    iteration ("memoize").
+    With z_i = A^-1 x_i and q_i = x_i.z_i, d_e = q_i + q_j - 2 x_i.z_j.
+    With `memo` None (`fg`) the gains come in Gram form, from X Z^T;
+    otherwise entry by entry from the rows x_i and z_j of the refreshed
+    block. Z = X A^-1 and q are formed for every sample at the first refresh
+    of an iteration ("precompute"), or each sample's z_i and q_i on its
+    first use within the iteration ("memoize").
     """
+
+    mapped = -1  # iteration of the current Z, unless memoized
 
     def __init__(self, x, absolute_set, lam, pi, pj, k, memo=None):
         super().__init__(x, absolute_set, lam, pi, pj, k, memo)
-        self.factored = -1  # iteration of the current U
         if memo == "memoize":
-            # iteration of each row's U; initial() maps every row at iteration 0
-            self._mapped = np.zeros(x.shape[0], dtype=np.intp)
-
-    def initial(self) -> np.ndarray:
-        self.factored = 0
-        return super().initial()
+            self.z, self.q = np.empty(x.shape), np.empty(x.shape[0])
+            # iteration of each row's z_i and q_i; -1 until first mapped
+            self._mapped = np.full(x.shape[0], -1, dtype=np.intp)
 
     def refresh(self, b, it: int) -> np.ndarray:
-        if self.factored != it:
-            self.u = linalg.gram_factor(self.state.ainv)
-            self.factored = it
-            if self.memo != "memoize":
-                self.z = self.x @ self.u.T
+        if self.memo != "memoize" and self.mapped != it:
+            self.z = self.x @ self.state.ainv
+            self.q = np.einsum("nd,nd->n", self.x, self.z)
+            self.mapped = it
         i, j = self.pi[b], self.pj[b]
         if self.memo is None:
-            return factorization_gains(self.z, i, j)
+            return factorization_gains(self.x, self.z, self.q, i, j)
         if self.memo == "memoize":
             self._map(np.concatenate((i, j)), it)
-        diff = self.z.take(i, axis=0) - self.z.take(j, axis=0)
-        return np.einsum("ed,ed->e", diff, diff)
+        cross = np.einsum("ed,ed->e", self.x.take(i, axis=0), self.z.take(j, axis=0))
+        return self.q.take(i) + self.q.take(j) - 2.0 * cross
 
     def _map(self, samples: np.ndarray, it: int) -> None:
-        """Map the rows of `samples` not yet mapped through this iteration's U.
+        """Map the rows of `samples` not yet mapped through this iteration's A^-1.
 
         Each row is its own matrix-vector product: one matrix product over
         the batch rounds a row differently depending on the other rows, and a
@@ -275,7 +280,10 @@ class FactorizationOracle(GainOracle):
         missing = samples[self._mapped[samples] != it]
         if missing.size:
             missing = _distinct(missing, len(self._mapped))
-            self.z[missing] = np.matmul(self.u, self.x[missing, :, None])[:, :, 0]
+            rows = self.x[missing]
+            z = np.matmul(self.state.ainv, rows[:, :, None])[:, :, 0]
+            self.z[missing] = z
+            self.q[missing] = np.einsum("ed,ed->e", rows, z)
             self._mapped[missing] = it
             self.computed += missing.size
 

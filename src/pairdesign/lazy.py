@@ -22,9 +22,9 @@ The lazy engines of `bench.ENGINES` run this search over the gain oracles
 of `greedy.py`:
 
 * naive lazy (`nl`): refresh with fresh quadratic forms;
-* factorization lazy (`flp`, `flm`): refresh as ||z_i - z_j||^2 through a
-  factor of A^-1 taken at the iteration's first refresh, with the z vectors
-  mapped for all samples or for each sample on first use;
+* factorization lazy (`flp`, `flm`): refresh as q_i + q_j - 2 x_i.z_j with
+  z_i = A^-1 x_i and q_i = x_i.z_i, mapped through the A^-1 in hand for all
+  samples at the iteration's first refresh or for each sample on first use;
 * scalar lazy (`slp`, `slm`): bring an entry current from its initial gain
   through a history of scalar projections, filled in full or on demand.
 """

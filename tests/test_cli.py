@@ -190,12 +190,30 @@ def test_overflowing_features_exit_4(tmp_path, capsys):
     x[2, 1] = 1e308
     data_io.write_features(tmp_path / "f.csv", x)
     data_io.write_absolute(tmp_path / "a.csv", [(0, 1), (1, -1)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["select", "--features", str(tmp_path / "f.csv"),
-                         "--absolute", str(tmp_path / "a.csv"), "--k", "2", "--workers", "1"])
+    code = cli.main(["select", "--features", str(tmp_path / "f.csv"),
+                     "--absolute", str(tmp_path / "a.csv"), "--k", "2", "--workers", "1"])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("algorithm", ["ng", "fg", "sg", "flm"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_overflowing_features_print_only_the_error_line(tmp_path, workers, algorithm):
+    # numpy's overflow warnings on the way to the error stay off stderr, in
+    # worker processes too: spawned workers inherit no error state by fork
+    x = np.random.default_rng(0).normal(size=(6, 3))
+    x[2, 1] = 1e308
+    data_io.write_features(tmp_path / "f.csv", x)
+    data_io.write_absolute(tmp_path / "a.csv", [(0, 1), (1, -1)])
+    script = ("import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
+              "from pairdesign import cli; sys.exit(cli.main(sys.argv[1:]))")
+    argv = ["select", "--algorithm", algorithm, "--features", str(tmp_path / "f.csv"),
+            "--absolute", str(tmp_path / "a.csv"), "--k", "2", "--workers", workers, "--repeats", "2"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 4
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_module_entry_point_runs_the_cli():

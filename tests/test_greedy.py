@@ -98,6 +98,41 @@ def test_scalar_engine_gains_match_a_rebuilt_inverse(n, d, scale, lam):
             assert drift.max() <= 1e-9, (tag, seed)
 
 
+@pytest.mark.parametrize("lam", [1e-8, 1e-4, 1e4])
+@pytest.mark.parametrize("scale", [1e-6, 1.0])
+@pytest.mark.parametrize("n,d", [(30, 8), (40, 64), (60, 20)])
+def test_factor_engine_gains_match_naive(n, d, scale, lam):
+    # the factorization engines score q_i + q_j - 2 x_i.z_j with z = A^-1 x:
+    # every pick's gain is within 1e-12 relative of ng's fresh quadratic
+    # form, and the picks are the same, also for d > N and extreme lambda
+    k = 20
+    for seed in range(3):
+        x, absolute_set = random_instance(seed, n=n, d=d)
+        x = x * scale
+        ng = bench.ENGINES["ng"](x, absolute_set, k, lam)
+        for tag in ("fg", "flp", "flm"):
+            trace = bench.ENGINES[tag](x, absolute_set, k, lam)
+            assert trace.selected == ng.selected, (tag, seed)
+            gap = np.abs(np.array(trace.gains) - ng.gains) / np.abs(ng.gains)
+            assert gap.max() <= 1e-12, (tag, seed)
+
+
+@pytest.mark.parametrize("tag", ["fg", "flp", "flm"])
+def test_factor_engines_factor_only_in_preprocessing(tag, monkeypatch):
+    # preprocessing factors A once; the picks map samples through the A^-1
+    # kept by Sherman-Morrison and take no Cholesky factor of their own
+    calls = []
+    factor = linalg.cholesky_factor
+    monkeypatch.setattr(linalg, "cholesky_factor", lambda m: calls.append(1) or factor(m))
+    x, absolute_set = random_instance(5, n=30, d=12)
+    counts = []
+    for k in (1, 10):
+        calls.clear()
+        bench.ENGINES[tag](x, absolute_set, k, LAM)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_pool_restriction():
     x, absolute_set = random_instance(8, n=20, d=5)
     pool = [(0, 5), (2, 9), (1, 3), (4, 17), (10, 11)]

@@ -285,7 +285,10 @@ def test_memo_maps_and_fills_each_new_entry_once():
     flm._map(np.array([7, 3, 3, 0, 9, 7, 9, 3]), 1)
     assert flm.computed == 4  # rows 3 and 9, once each
     assert flm.z[[0, 7]].tobytes() == held[[0, 7]].tobytes()
-    assert np.allclose(flm.z[[3, 9]], x[[3, 9]] @ flm.u.T, rtol=1e-12, atol=1e-12)
+    # each mapped row is its own product A^-1 x_i, bit for bit, with q_i = x_i.z_i
+    for s in (0, 3, 7, 9):
+        assert flm.z[s].tobytes() == (flm.state.ainv @ x[s]).tobytes()
+        assert flm.q[s] == np.einsum("d,d->", x[s], flm.z[s])
     held = flm.z.copy()
     flm._map(np.array([9, 0, 9, 3]), 1)
     assert flm.computed == 4 and flm.z.tobytes() == held.tobytes()
