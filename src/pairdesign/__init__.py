@@ -1,14 +1,7 @@
 """Accelerated greedy D-optimal design for pairwise comparison selection."""
 
 from .bench import ALGORITHMS, BASELINES, ENGINES, RunConfig, run_bench, run_evaluation, run_selection, verify_equivalence
-from .design import (
-    DesignState,
-    brute_force_select,
-    init_design,
-    marginal_gain_exact,
-    objective_value,
-    proxy_gain,
-)
+from .design import init_design, objective_value
 from .model import (
     FitResult,
     LabeledData,
@@ -28,21 +21,17 @@ __all__ = [
     "ALGORITHMS",
     "BASELINES",
     "ENGINES",
-    "DesignState",
     "FitResult",
     "LabeledData",
     "ModelParams",
     "RunConfig",
     "SelectionTrace",
     "auc",
-    "brute_force_select",
     "entropy_select",
     "fisher_select",
     "init_design",
     "map_fit",
-    "marginal_gain_exact",
     "objective_value",
-    "proxy_gain",
     "random_select",
     "run_bench",
     "run_evaluation",

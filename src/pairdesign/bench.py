@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model, report
-from .design import objective_value
+from .design import objective_value, pair_arrays
 from .errors import ConfigError, DegenerateLabelSet
 from .greedy import EagerSearch, Engine, FactorizationOracle, NaiveOracle, ScalarOracle
 from .lazy import BlockSearch
@@ -299,10 +299,11 @@ def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Rep
     """
     _check_design(config)
     workers = resolve_workers(config)  # checked also where the instances run inline
+    # the report records the first grid shape unless --single sets its own
+    n, d = VERIFY_GRID[0]
+    config = replace(config, n=config.n or n, d=config.d or d)
     if config.single:
-        n = config.n or VERIFY_GRID[0][0]
-        d = config.d or VERIFY_GRID[0][1]
-        specs = [(0, config.seed, n, d, config.k, config.lam, config.n_absolute, engines)]
+        specs = [(0, config.seed, config.n, config.d, config.k, config.lam, config.n_absolute, engines)]
     else:
         if config.instances < 1:
             raise ConfigError(f"instances must be >= 1, got {config.instances}")
@@ -345,7 +346,7 @@ def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Rep
 def _pairs_within(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (I, J) of every pair of `samples`, lexicographic order."""
     samples = np.sort(samples)
-    a, b = np.triu_indices(len(samples), k=1)
+    a, b = pair_arrays(len(samples))
     return samples[a], samples[b]
 
 

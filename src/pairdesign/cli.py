@@ -110,6 +110,8 @@ def _build_config(args: argparse.Namespace) -> bench.RunConfig:
     fields = {f.name for f in dataclasses.fields(bench.RunConfig)}
     config = bench.RunConfig(**{f: v for f, v in vars(args).items() if f in fields and v is not None})
     if getattr(args, "synthetic", None) is not None:
+        if config.features_csv is not None:
+            raise ConfigError("--synthetic and --features each give the dataset; give one")
         for field, value in _parse_synthetic(args.synthetic).items():
             setattr(config, field, value)
     return config
@@ -149,10 +151,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.command == "verify":
             if not config.single and (config.n is not None or config.d is not None):
                 raise ConfigError("--n and --d set the shape of a --single instance; the sweep cycles its own shapes")
-            # the report records the first grid shape unless --single overrides it
-            default_n, default_d = bench.VERIFY_GRID[0]
-            config.n = default_n if config.n is None else config.n
-            config.d = default_d if config.d is None else config.d
             status, rep = bench.verify_equivalence(config)
             _emit(rep, config)
             print(f"verify: {'PASS' if status == 0 else 'FAIL'} "

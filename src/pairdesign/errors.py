@@ -13,10 +13,6 @@ class DegenerateUpdate(PairDesignError):
     """Rank-one update denominator collapsed; inverse state is corrupted."""
 
 
-class AlreadySelected(PairDesignError):
-    """A candidate pair is already part of the selected set."""
-
-
 class InstanceTooLarge(PairDesignError):
     """Problem size exceeds a guard meant for exhaustive computation."""
 

@@ -23,13 +23,13 @@ The search decides which gains to ask for: the eager search here (`ng`,
 in `lazy.py` (`nl`, `flp`, `flm`, `slp`, `slm`) asks only for the stale
 gains that could still win.
 
-The naive and factorization oracles advance A^-1 (their `state.ainv`) by
-rank-one downdates only and never rebuild or factor it mid-run: the one
-Cholesky factor of a run is taken in preprocessing, so no engine raises
-`NotPositiveDefinite` after it. The scalar oracles
-hold A^-1 in product form, A_0^-1 - V^T V: `state.ainv` stays the base
-inverse A_0^-1 and the update vectors V grow by one row per selection.
-`design.refresh_state` rebuilds an inverse from scratch outside the engines.
+Each oracle holds A^-1 as `ainv`, from the A_0^-1 of `design.init_design`.
+The naive and factorization oracles advance it by rank-one downdates only
+and never rebuild or factor it mid-run: the one Cholesky factor of a run is
+taken in preprocessing, so no engine raises `NotPositiveDefinite` after it.
+The scalar oracles hold A^-1 in product form, A_0^-1 - V^T V: `ainv` stays
+the base inverse A_0^-1 and the update vectors V grow by one row per
+selection.
 
 Every selector, engine or baseline, reads its pool through `resolve_pool`,
 as index arrays (I, J) in lexicographic pair order. Ties in d_e resolve to
@@ -203,17 +203,17 @@ class GainOracle:
 
     def __init__(self, x, absolute_set, lam, pi, pj, k, memo=None):
         self.x, self.pi, self.pj, self.memo = x, pi, pj, memo
-        self.state = init_design(x, absolute_set, lam)
+        self.ainv = init_design(x, absolute_set, lam)
         self.computed = 0 if memo == "memoize" else None
 
     def initial(self) -> np.ndarray:
         """Every gain in Gram form, through a factor of the base A^-1."""
-        z = self.x @ linalg.gram_factor(self.state.ainv).T
+        z = self.x @ linalg.gram_factor(self.ainv).T
         return factorization_gains(z, z, np.einsum("nd,nd->n", z, z), self.pi, self.pj)
 
     def update(self, pair: Pair, it: int) -> None:
         xe = comparison_feature(self.x, pair)
-        self.state.ainv = linalg.sherman_morrison_downdate(self.state.ainv, xe)
+        self.ainv = linalg.sherman_morrison_downdate(self.ainv, xe)
 
 
 class NaiveOracle(GainOracle):
@@ -231,8 +231,8 @@ class NaiveOracle(GainOracle):
         if b is _ALL and len(self.pi) <= _CHUNK:
             if self.rows is None:
                 self.rows = difference_rows(self.x, self.pi, self.pj)
-            return quadratic_gains(self.x, self.pi, self.pj, self.state.ainv, rows=self.rows)
-        return quadratic_gains(self.x, self.pi[b], self.pj[b], self.state.ainv)
+            return quadratic_gains(self.x, self.pi, self.pj, self.ainv, rows=self.rows)
+        return quadratic_gains(self.x, self.pi[b], self.pj[b], self.ainv)
 
 
 class FactorizationOracle(GainOracle):
@@ -257,7 +257,7 @@ class FactorizationOracle(GainOracle):
 
     def refresh(self, b, it: int) -> np.ndarray:
         if self.memo != "memoize" and self.mapped != it:
-            self.z = self.x @ self.state.ainv
+            self.z = self.x @ self.ainv
             self.q = np.einsum("nd,nd->n", self.x, self.z)
             self.mapped = it
         i, j = self.pi[b], self.pj[b]
@@ -281,7 +281,7 @@ class FactorizationOracle(GainOracle):
         if missing.size:
             missing = _distinct(missing, len(self._mapped))
             rows = self.x[missing]
-            z = np.matmul(self.state.ainv, rows[:, :, None])[:, :, 0]
+            z = np.matmul(self.ainv, rows[:, :, None])[:, :, 0]
             self.z[missing] = z
             self.q[missing] = np.einsum("ed,ed->e", rows, z)
             self._mapped[missing] = it
@@ -291,7 +291,7 @@ class FactorizationOracle(GainOracle):
 class ScalarOracle(GainOracle):
     """Gains computed once, then brought current by scalar downdates.
 
-    A^-1 is held in product form: `state.ainv` stays the base inverse
+    A^-1 is held in product form: `ainv` stays the base inverse
     A_0^-1 and row l of `v` is the vector of selection l, with
     A^-1 = A_0^-1 - sum_{l < it} v_l v_l^T. Each selection forms its v from
     those (`linalg.update_vector`) and writes no d x d matrix. With `memo`
@@ -332,7 +332,7 @@ class ScalarOracle(GainOracle):
         return self.gains[b] - diff.cumsum(axis=0)[-1]
 
     def update(self, pair: Pair, it: int) -> None:
-        v = linalg.update_vector(self.state.ainv, comparison_feature(self.x, pair), self.v[:it])
+        v = linalg.update_vector(self.ainv, comparison_feature(self.x, pair), self.v[:it])
         self.v[it] = v
         if self.memo == "precompute":
             self.rho[it] = self.x @ v
@@ -360,16 +360,9 @@ class ScalarOracle(GainOracle):
 
 
 class EagerSearch:
-    """Refresh every pair each iteration and take the first maximum.
-
-    With `record_gain_arrays`, keeps each iteration's gains, -inf at the
-    pairs already selected.
-    """
+    """Refresh every pair each iteration and take the first maximum."""
 
     touch_counts = None
-
-    def __init__(self, record_gain_arrays: bool = False):
-        self.gain_arrays = [] if record_gain_arrays else None
 
     def start(self, oracle) -> None:
         self.picked = np.zeros(len(oracle.pi), dtype=bool)
@@ -378,8 +371,6 @@ class EagerSearch:
         d = oracle.refresh(_ALL, it)
         d[self.picked] = -np.inf
         best = int(np.argmax(d))
-        if self.gain_arrays is not None:
-            self.gain_arrays.append(d.copy())
         self.picked[best] = True
         return best, float(d[best])
 
@@ -389,8 +380,7 @@ class Engine:
     """A search class driving a gain oracle class under a memo policy.
 
     Calling the engine selects `k` pairs of `pool` (see `resolve_pool`)
-    greedily; keyword options go to the search (`record_gain_arrays` for
-    `EagerSearch`). The preprocessing phase covers the oracle's construction
+    greedily. The preprocessing phase covers the oracle's construction
     and the search's setup; each iteration then times the search's pick
     (find-max) and the oracle's update.
     """
@@ -400,8 +390,8 @@ class Engine:
     oracle: type
     memo: str | None = None
 
-    def __call__(self, x, absolute_set, k, lam, pool=None, **search_options) -> SelectionTrace:
-        search = self.search(**search_options)
+    def __call__(self, x, absolute_set, k, lam, pool=None) -> SelectionTrace:
+        search = self.search()
         pi, pj = resolve_pool(x.shape[0], pool, k)
         clock = time.perf_counter
 
@@ -442,5 +432,4 @@ class Engine:
             update_seconds=update_seconds,
             touch_counts=search.touch_counts,
             memo_counts=memo_counts,
-            gain_arrays=search.gain_arrays,
         )

@@ -96,8 +96,6 @@ def _accept(bound: np.ndarray, b: np.ndarray, values: np.ndarray, gain: float, b
 class BlockSearch:
     """The lazy search: stale bounds refreshed in blocks, touches counted."""
 
-    gain_arrays = None
-
     def start(self, oracle) -> None:
         self.bound = np.array(oracle.initial(), dtype=np.float64)
         self.stamp = np.zeros(len(self.bound), dtype=np.intp)

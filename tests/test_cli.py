@@ -332,6 +332,11 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
     (_SELECT + ["--algorithm", "nope"], None, "unknown algorithm"),
     (["select", "--workers", "1"], None, "either synthetic parameters"),
     (["select", "--synthetic", "n=10", "--workers", "1"], None, "need both n and d"),
+    # a CSV dataset takes no synthetic parameters; neither flag is dropped silently
+    (_SELECT + ["--features", "x.csv", "--k", "2"], None, "--synthetic and --features"),
+    (["select", "--features", "x.csv", "--synthetic", "c-a=3", "--k", "2"], None, "--synthetic and --features"),
+    (["bench", "--algorithms", "sg", "--features", "x.csv", "--synthetic", "n=50,d=4", "--k", "2"], None,
+     "--synthetic and --features"),
 ])
 def test_usage_error_names_the_bad_value(capsys, monkeypatch, argv, workers_env, message):
     monkeypatch.delenv(bench.WORKERS_ENV, raising=False)

@@ -6,6 +6,7 @@ import pytest
 from pairdesign import bench, design, greedy, lazy, linalg
 from pairdesign.errors import PairDesignError
 
+import oracles
 from conftest import pair_list, random_instance, random_spd
 
 LAM = 1e-4
@@ -25,24 +26,25 @@ def test_variants_agree_on_random_instances():
 
 def test_gains_match_proxy_oracle():
     x, absolute_set = random_instance(3, n=12, d=4)
-    trace = bench.ENGINES["ng"](x, absolute_set, 4, LAM, record_gain_arrays=True)
-    state = design.init_design(x, absolute_set, LAM)
+    trace, gain_arrays = oracles.eager_gain_arrays("ng", x, absolute_set, 4, LAM)
+    state = oracles.init_state(x, absolute_set, LAM)
     pool = pair_list(12)
-    for it, arr in enumerate(trace.gain_arrays):
+    for it, arr in enumerate(gain_arrays):
         for idx, e in enumerate(pool):
             if e in trace.selected[:it]:
                 assert arr[idx] == -np.inf
             else:
-                assert abs(arr[idx] - design.proxy_gain(state, x, e)) <= 1e-10
-        design.add_pair(state, x, trace.selected[it])
+                assert abs(arr[idx] - oracles.proxy_gain(state, x, e)) <= 1e-10
+        oracles.add_pair(state, x, trace.selected[it])
 
 
 def test_gain_arrays_identical_across_variants():
     x, absolute_set = random_instance(9, n=25, d=5)
-    ng = bench.ENGINES["ng"](x, absolute_set, 6, LAM, record_gain_arrays=True)
-    fg = bench.ENGINES["fg"](x, absolute_set, 6, LAM, record_gain_arrays=True)
-    sg = bench.ENGINES["sg"](x, absolute_set, 6, LAM, record_gain_arrays=True)
-    for a, b, c in zip(ng.gain_arrays, fg.gain_arrays, sg.gain_arrays):
+    _, ng = oracles.eager_gain_arrays("ng", x, absolute_set, 6, LAM)
+    _, fg = oracles.eager_gain_arrays("fg", x, absolute_set, 6, LAM)
+    _, sg = oracles.eager_gain_arrays("sg", x, absolute_set, 6, LAM)
+    assert len(ng) == len(fg) == len(sg) == 6
+    for a, b, c in zip(ng, fg, sg):
         mask = np.isfinite(a)
         assert np.array_equal(mask, np.isfinite(b)) and np.array_equal(mask, np.isfinite(c))
         assert np.allclose(a[mask], b[mask], rtol=1e-9)
@@ -53,7 +55,7 @@ def test_gains_nonincreasing():
     # submodularity: the greedy gain sequence never increases (up to slack)
     x, absolute_set = random_instance(21, n=40, d=8)
     trace = bench.ENGINES["sg"](x, absolute_set, 12, LAM)
-    deltas = trace.objective_deltas
+    deltas = np.log1p(trace.gains)
     for earlier, later in zip(deltas, deltas[1:]):
         assert later <= earlier + 1e-9
 
@@ -62,14 +64,14 @@ def test_scalar_drift_bounded():
     # after many downdates the cached gains still match fresh recomputes
     x, absolute_set = random_instance(17, n=80, d=10)
     k = 30
-    trace = bench.ENGINES["sg"](x, absolute_set, k, LAM, record_gain_arrays=True)
-    state = design.init_design(x, absolute_set, LAM)
+    trace, gain_arrays = oracles.eager_gain_arrays("sg", x, absolute_set, k, LAM)
+    state = oracles.init_state(x, absolute_set, LAM)
     for e in trace.selected[:-1]:
-        design.add_pair(state, x, e)
-    design.refresh_state(state, x)
+        oracles.add_pair(state, x, e)
+    oracles.refresh_state(state, x)
     pi, pj = design.pair_arrays(80)
     fresh = greedy.quadratic_gains(x, pi, pj, state.ainv)
-    cached = trace.gain_arrays[-1]
+    cached = gain_arrays[-1]
     mask = np.isfinite(cached)
     assert np.max(np.abs(cached[mask] - fresh[mask])) <= 1e-7
 
@@ -177,7 +179,7 @@ def test_timing_fields_populated():
     assert len(trace.find_max_seconds) == 5
     assert len(trace.update_seconds) == 5
     assert trace.total_seconds > 0.0
-    assert len(trace.objective_deltas) == 5
+    assert len(trace.gains) == 5
 
 
 @pytest.mark.parametrize("explicit_pool", [False, True])
@@ -188,17 +190,17 @@ def test_ng_held_rows_match_the_gather_path_bit_for_bit(explicit_pool):
         rng = np.random.default_rng(4)
         pool = [e for e in pair_list(40) if rng.random() < 0.4]
     k = 9
-    trace = bench.ENGINES["ng"](x, absolute_set, k, LAM, pool=pool, record_gain_arrays=True)
+    trace, gain_arrays = oracles.eager_gain_arrays("ng", x, absolute_set, k, LAM, pool=pool)
     pi, pj = greedy.resolve_pool(40, pool, k)
     picked = np.zeros(len(pi), dtype=bool)
-    state = design.init_design(x, absolute_set, LAM)
-    for it, held in enumerate(trace.gain_arrays):
+    state = oracles.init_state(x, absolute_set, LAM)
+    for it, held in enumerate(gain_arrays):
         gathered = greedy.quadratic_gains(x, pi, pj, state.ainv)
         gathered[picked] = -np.inf
         assert held.tobytes() == gathered.tobytes(), it
         e = trace.selected[it]
         picked[np.flatnonzero((pi == e[0]) & (pj == e[1]))] = True
-        design.add_pair(state, x, e)
+        oracles.add_pair(state, x, e)
 
 
 def _naive_oracle_after_one_pick(search, x, absolute_set, k):

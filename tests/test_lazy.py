@@ -10,6 +10,7 @@ from pairdesign import bench, design, greedy, lazy, linalg
 from pairdesign.errors import StaleStampCorruption
 from pairdesign.heap import HeapEntry, LazyHeap, beats
 
+import oracles
 from conftest import duplicate_row_instance, pair_list, random_instance
 
 LAM = 1e-4
@@ -179,11 +180,11 @@ def test_scalar_stale_adaptation_matches_fresh_gain():
     # a gain frozen at iteration 0 and adapted through the rho history must
     # agree with a from-scratch quadratic form after many updates
     x, absolute_set = random_instance(17, n=60, d=10)
-    state = design.init_design(x, absolute_set, LAM)
+    state = oracles.init_state(x, absolute_set, LAM)
     pi, pj = design.pair_arrays(60)
     history = greedy.ScalarOracle(x, absolute_set, LAM, pi, pj, 50, "precompute")
     probes = [(0, 1), (5, 30), (12, 44), (2, 59)]
-    stale = {e: design.proxy_gain(state, x, e) for e in probes}
+    stale = {e: oracles.proxy_gain(state, x, e) for e in probes}
     rng = np.random.default_rng(17)
     # the oracle forms v in product form, from the base inverse and the
     # earlier vectors; it stays within 1e-8 of the explicitly downdated v
@@ -287,7 +288,7 @@ def test_memo_maps_and_fills_each_new_entry_once():
     assert flm.z[[0, 7]].tobytes() == held[[0, 7]].tobytes()
     # each mapped row is its own product A^-1 x_i, bit for bit, with q_i = x_i.z_i
     for s in (0, 3, 7, 9):
-        assert flm.z[s].tobytes() == (flm.state.ainv @ x[s]).tobytes()
+        assert flm.z[s].tobytes() == (flm.ainv @ x[s]).tobytes()
         assert flm.q[s] == np.einsum("d,d->", x[s], flm.z[s])
     held = flm.z.copy()
     flm._map(np.array([9, 0, 9, 3]), 1)
@@ -371,7 +372,7 @@ def test_array_search_matches_heap_oracle_on_duplicate_rows():
         # copies of a row give bitwise-equal gains against every other sample
         pi, pj = np.array([3, 5, 12]), np.array([9, 9, 9])
         assert len(set(greedy.FactorizationOracle(x, absolute_set, LAM, pi, pj, 1, "precompute").initial().tolist())) == 1
-        ainv = design.init_design(x, absolute_set, LAM).ainv
+        ainv = design.init_design(x, absolute_set, LAM)
         assert len(set(greedy.quadratic_gains(x, pi, pj, ainv).tolist())) == 1
         assert_matches_heap_oracle(x, absolute_set, 12)
 
@@ -389,14 +390,6 @@ def test_array_search_matches_heap_oracle_when_tied_stale_bounds_straddle_the_bl
     x, pool = straddling_stale_ties()
     assert_matches_heap_oracle(x, [], 4, pool=pool)
     assert bench.ENGINES["slp"](x, [], 2, LAM, pool=pool).selected == [(0, 10), (0, 20)]
-
-
-def test_only_the_eager_search_records_gain_arrays():
-    x, absolute_set = random_instance(3, n=10, d=3)
-    assert len(bench.ENGINES["fg"](x, absolute_set, 2, LAM, record_gain_arrays=True).gain_arrays) == 2
-    for engine in LAZY.values():
-        with pytest.raises(TypeError):
-            engine(x, absolute_set, 2, LAM, record_gain_arrays=True)
 
 
 def test_pool_restriction_and_k_guard():

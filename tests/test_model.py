@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from scipy.stats import rankdata
 from pairdesign import model
 from pairdesign.errors import DegenerateLabelSet, InstanceTooLarge
 
+import oracles
 from conftest import random_instance
 
 
@@ -25,8 +27,8 @@ def finite_difference_gradient(params, x, data, eps=1e-6):
         lo = beta.copy()
         hi[idx] += eps
         lo[idx] -= eps
-        f_hi = model.nll_loss(model.ModelParams(hi, params.lam), x, data)
-        f_lo = model.nll_loss(model.ModelParams(lo, params.lam), x, data)
+        f_hi = oracles.nll_loss(model.ModelParams(hi, params.lam), x, data)
+        f_lo = oracles.nll_loss(model.ModelParams(lo, params.lam), x, data)
         grad[idx] = (f_hi - f_lo) / (2.0 * eps)
     return grad
 
@@ -47,7 +49,7 @@ def test_gradient_matches_finite_differences():
         x, data = make_labeled(seed, n=25, d=6)
         rng = np.random.default_rng(seed + 100)
         params = model.ModelParams(rng.normal(size=6), lam=1e-2)
-        analytic = model.nll_gradient(params, x, data)
+        analytic = oracles.nll_gradient(params, x, data)
         numeric = finite_difference_gradient(params, x, data)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert rel <= 1e-5
@@ -62,7 +64,7 @@ def test_loss_decomposition():
         expected += float(np.logaddexp(0.0, -y * (beta @ x[i])))
     for (i, j), y in data.comparisons:
         expected += float(np.logaddexp(0.0, -y * (beta @ (x[i] - x[j]))))
-    got = model.nll_loss(model.ModelParams(beta, 1e-2), x, data)
+    got = oracles.nll_loss(model.ModelParams(beta, 1e-2), x, data)
     assert abs(got - expected) <= 1e-12
 
 
@@ -75,7 +77,7 @@ def test_map_fit_converges_and_minimizes():
     rng = np.random.default_rng(0)
     for _ in range(20):
         other = model.ModelParams(fit.params.beta + rng.normal(scale=0.1, size=5), 1e-2)
-        assert model.nll_loss(other, x, data) >= fit.final_loss - 1e-12
+        assert oracles.nll_loss(other, x, data) >= fit.final_loss - 1e-12
 
 
 def test_map_fit_no_data_returns_zero():
@@ -168,11 +170,34 @@ def test_auc_matches_the_rank_formula_on_tied_scores():
         assert model.auc(scores, labels) == expected
 
 
+# The package modules that `import pairdesign` loads: the CLI and the CSV
+# reader load only where they are used.
+_IMPORTED = ["pairdesign"] + [f"pairdesign.{name}" for name in (
+    "bench", "design", "errors", "greedy", "heap", "lazy", "linalg", "model", "report", "trace")]
+
+
 def test_import_leaves_scipy_stats_out():
-    code = "import sys, pairdesign; sys.exit('scipy.stats' in sys.modules)"
+    # tests/ is on the path, so that an import of the test oracles from the
+    # package would succeed here and show up below instead of failing
+    tests = str(Path(__file__).resolve().parent)
+    code = (
+        "import json, sys, pairdesign\n"
+        "print(json.dumps([\n"
+        "    sorted(m for m in sys.modules if m.split('.')[0] == 'pairdesign'),\n"
+        "    sorted(m for m, mod in list(sys.modules.items()) if (getattr(mod, '__file__', None) or '').startswith(sys.argv[1])),\n"
+        "    [name for name in pairdesign.__all__ if not hasattr(pairdesign, name)],\n"
+        "    'scipy.stats' in sys.modules,\n"
+        "]))"
+    )
     src = str(Path(model.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, tests, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code, tests], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    modules, from_tests, unresolved, scipy_stats = json.loads(done.stdout)
+    assert modules == _IMPORTED
+    assert from_tests == []
+    assert unresolved == []
+    assert not scipy_stats
 
 
 _NUMPY_ONLY_RUNS = {
@@ -268,7 +293,7 @@ def test_fisher_select_improves_objective():
     selected = model.fisher_select(x, beta, 4, pool)
     assert len(set(selected)) == 4
     for t in range(1, 5):
-        values.append(model.fisher_information_objective(x, beta, selected[:t], pool))
+        values.append(oracles.fisher_information_objective(x, beta, selected[:t], pool))
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
