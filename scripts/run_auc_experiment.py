@@ -17,7 +17,7 @@ from pairdesign.bench import RunConfig, run_evaluation
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--algorithms", default="sg,entropy,random")
+    parser.add_argument("--algorithms", default="sg,entropy,fisher,random")
     parser.add_argument("--n", type=int, default=500)
     parser.add_argument("--d", type=int, default=20)
     parser.add_argument("--k", type=int, default=100)

@@ -233,6 +233,9 @@ def _selection_repeat(args) -> dict:
 def run_selection(config: RunConfig) -> report.Report:
     """Run the configured selector for each repeat and collect a report."""
     config.validate()
+    if config.features_csv is not None and config.repeats > 1 and config.algorithm != "random":
+        raise ConfigError(f"--repeats {config.repeats} repeats one selection: {config.algorithm} on a "
+                          "--features dataset draws nothing per repeat; only random does")
     workers = resolve_workers(config)
     rows = _pmap(_selection_repeat, [(config, r) for r in range(config.repeats)], workers)
     rep = report.Report(
@@ -244,12 +247,11 @@ def run_selection(config: RunConfig) -> report.Report:
 
 
 def _config_meta(config: RunConfig) -> dict:
-    meta = {}
-    for key, value in vars(config).items():
-        if key in ("workers", "out"):
-            continue
-        meta[key] = value
-    return meta
+    """The config fields that shape a run's output; a --features run has no synthetic ones."""
+    skip = {"workers", "out"}
+    if config.features_csv is not None:
+        skip |= {"n", "d", "sigma_x", "sigma_beta", "c_a", "n_absolute"}
+    return {key: value for key, value in vars(config).items() if key not in skip}
 
 
 def _verify_instance(args) -> dict:
@@ -298,6 +300,8 @@ def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Rep
     mismatch stays within the relative objective tolerance.
     """
     _check_design(config)
+    if not config.single and (config.n is not None or config.d is not None):
+        raise ConfigError("--n and --d set the shape of a --single instance; the sweep cycles its own shapes")
     workers = resolve_workers(config)  # checked also where the instances run inline
     # the report records the first grid shape unless --single sets its own
     n, d = VERIFY_GRID[0]

@@ -2,8 +2,8 @@
 
 Subcommands: select, verify, evaluate, bench. Exit codes: 0 success,
 1 verification failure, 2 usage error (for example k above the candidate
-pool), 3 I/O error, 4 any other library error (for example an instance too
-large for the fisher baseline).
+pool), 3 I/O error, 4 any other library error (for example a design
+matrix that is not positive definite).
 """
 
 from __future__ import annotations
@@ -149,8 +149,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             _emit(rep, config)
             return EXIT_OK
         if args.command == "verify":
-            if not config.single and (config.n is not None or config.d is not None):
-                raise ConfigError("--n and --d set the shape of a --single instance; the sweep cycles its own shapes")
             status, rep = bench.verify_equivalence(config)
             _emit(rep, config)
             print(f"verify: {'PASS' if status == 0 else 'FAIL'} "
@@ -162,7 +160,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             _emit(rep, config)
             return EXIT_OK
         if args.command == "bench":
-            config.algorithm = "ng"
             tags = [t.strip() for t in args.algorithms.split(",") if t.strip()]
             rep = bench.run_bench(config, tags)
             _emit(rep, config)

@@ -13,10 +13,6 @@ class DegenerateUpdate(PairDesignError):
     """Rank-one update denominator collapsed; inverse state is corrupted."""
 
 
-class InstanceTooLarge(PairDesignError):
-    """Problem size exceeds a guard meant for exhaustive computation."""
-
-
 class EmptyHeap(PairDesignError):
     """Peek or extract attempted on an empty heap."""
 

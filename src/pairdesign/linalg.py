@@ -39,13 +39,16 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 def cholesky_factor(m: np.ndarray) -> np.ndarray:
     """Lower-triangular F with F @ F.T = m.
 
-    Raises NotPositiveDefinite when a pivot is non-positive; callers treat
-    this as a signal to rebuild their inverse state from scratch.
+    Raises NotPositiveDefinite when a pivot is non-positive or the factor is
+    not finite, as LAPACK takes an infinite pivot from an overflowed m.
     """
     try:
-        return np.linalg.cholesky(m)
+        f = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
+    if not np.isfinite(f).all():
+        raise NotPositiveDefinite("Matrix is not positive definite: its factor is not finite")
+    return f
 
 
 def gram_factor(m: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ difference covariates.
 Pair margins are taken in score space: with s = X beta computed once over
 the N samples, (x_i - x_j) . beta is s_i - s_j, so label draws and entropy
 selection cost O(N d + |C|) time and memory over a pool C, never |C| x d
-difference rows. The Fisher baseline keeps its difference rows, which its
-information matrices need.
+difference rows. So does the Fisher baseline, whose quadratic forms are
+taken over the N samples in Gram form, as `fg` takes its gains.
 
 scipy.special (`expit`, `xlogy`) is imported by the functions that use it,
 at their first call, so importing pairdesign or running a design engine
@@ -20,15 +20,17 @@ loads no scipy module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .design import Pair
-from .errors import DegenerateLabelSet, InstanceTooLarge
-from .greedy import resolve_pool
+from .errors import DegenerateLabelSet
+from .greedy import factorization_gains, resolve_pool
 
-_FISHER_POOL_LIMIT = 10_000
+_FISHER_RIDGE = 1e-6
 
 
 @dataclass
@@ -63,8 +65,8 @@ def sample_synthetic(
     seed: int | tuple = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian features and the true parameter vector."""
-    if min(sigma_x, sigma_beta, c_a) <= 0:
-        raise ValueError("scale parameters must be positive")
+    if not all(0 < v < math.inf for v in (sigma_x, sigma_beta, c_a)):
+        raise ValueError("scale parameters must be positive and finite")
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, sigma_x, size=(n, d))
     beta_true = rng.normal(0.0, sigma_beta, size=d)
@@ -132,11 +134,11 @@ def map_fit(
 ) -> FitResult:
     """Deterministic gradient descent with backtracking line search.
 
-    The loss is strictly convex for lam > 0, so the minimizer is unique;
+    The loss is strictly convex for a positive, finite lam, so the minimizer is unique;
     convergence is declared on the gradient norm.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     from scipy.special import expit
 
     signed = _signed_covariates(x, data)
@@ -204,41 +206,38 @@ def entropy_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pa
     return _pairs(i, j, order[:k])
 
 
-def fisher_select(
-    x: np.ndarray,
-    beta_hat: np.ndarray,
-    k: int,
-    pool,
-    ridge: float = 1e-6,
-) -> list[Pair]:
-    """Greedy maximization of the Fisher information trace objective."""
+def fisher_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pair]:
+    """Greedy maximization of the Fisher trace objective -trace(I_q^-1 I_p).
+
+    I_p and I_q average w_e u_e u_e^T over the pool and the selection, plus a
+    ridge, with u_e = x_i - x_j and w_e = p_e (1 - p_e) = sigmoid(m_e) sigmoid(-m_e)
+    at margin m_e. At pick t, pair e makes I_q = B + c u_e u_e^T, c = w_e / (t + 1),
+    so by Sherman-Morrison a pick ranks the pool by w_e g_e / (t + 1 + w_e h_e),
+    where h_e and g_e are u_e's quadratic forms under B^-1 and B^-1 I_p B^-1.
+    """
     from scipy.special import expit
 
-    i, j = resolve_pool(x.shape[0], pool, k)
-    if len(i) > _FISHER_POOL_LIMIT:
-        raise InstanceTooLarge(f"fisher pool {len(i)} exceeds {_FISHER_POOL_LIMIT}")
-    d = x.shape[1]
-    diffs = x[i] - x[j]
-    p = expit(diffs @ beta_hat)
-    w = p * (1.0 - p)
-    eye = ridge * np.eye(d)
-    i_p = (diffs * w[:, None]).T @ diffs / len(i) + eye
-    accum = np.zeros((d, d))
-    chosen: list[int] = []
-    for _ in range(k):
-        best_idx = -1
-        best_val = -np.inf
-        for idx in range(len(i)):
-            if idx in chosen:
-                continue
-            m = (accum + w[idx] * np.outer(diffs[idx], diffs[idx])) / (len(chosen) + 1) + eye
-            val = -float(np.trace(np.linalg.solve(m, i_p)))
-            if val > best_val:
-                best_val = val
-                best_idx = idx
-        chosen.append(best_idx)
-        accum += w[best_idx] * np.outer(diffs[best_idx], diffs[best_idx])
-    return _pairs(i, j, chosen)
+    i, j = resolve_pool(len(x), pool, k)
+    s = x @ beta_hat
+    w = expit(s[i] - s[j]) * expit(s[j] - s[i])
+    # I_p = X^T L X over the pool's graph Laplacian L, with edge weights w
+    lap = np.zeros((len(x), len(x)))
+    lap[i, j] = lap[j, i] = -w
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    ridge = _FISHER_RIDGE * np.eye(x.shape[1])
+    i_p = x.T @ (lap @ x) / len(i) + ridge
+    accum = np.zeros_like(ridge)
+    picks = np.zeros(k, dtype=np.intp)
+    for t in range(k):
+        b_inv = linalg.invert_spd(accum / (t + 1) + ridge)
+        h, g = (factorization_gains(x, z, np.einsum("nd,nd->n", x, z), i, j)
+                for z in (x @ b_inv, x @ (b_inv @ i_p @ b_inv)))
+        score = w * g / (t + 1 + w * h)
+        score[picks[:t]] = -np.inf
+        picks[t] = best = int(np.argmax(score))
+        u = x[i[best]] - x[j[best]]
+        accum += w[best] * np.outer(u, u)
+    return _pairs(i, j, picks)
 
 
 def random_select(n: int, k: int, pool, seed: int | tuple) -> list[Pair]:

@@ -2,13 +2,14 @@
 
 Slow, direct routes to what the engines and the model compute fast: an
 explicit inverse design matrix advanced one pair at a time, exhaustive
-selection, the MAP loss and its gradient, the Fisher trace objective, and
-an eager search that keeps every iteration's gains. The package never
-calls them.
+selection, the MAP loss and its gradient, the Fisher trace objective and
+its greedy selection by one solve per candidate, and an eager search that
+keeps every iteration's gains. The package never calls them.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.special import expit
 
 from pairdesign import bench, design, greedy, linalg, model
 from pairdesign.design import Pair
-from pairdesign.errors import InstanceTooLarge, PairDesignError
+from pairdesign.errors import PairDesignError
 
 # Guard for brute-force enumeration: C(|pool|, K) at most this many subsets.
 _BRUTE_FORCE_LIMIT = 1_000_000
@@ -24,6 +25,10 @@ _BRUTE_FORCE_LIMIT = 1_000_000
 
 class AlreadySelected(PairDesignError):
     """A candidate pair is already part of the selected set."""
+
+
+class InstanceTooLarge(PairDesignError):
+    """Problem size exceeds a guard meant for exhaustive computation."""
 
 
 @dataclass
@@ -157,9 +162,83 @@ def fisher_information_objective(
     return -float(np.trace(np.linalg.solve(i_q, i_p)))
 
 
+def fisher_prefix_objectives_exact(x: np.ndarray, beta_hat: np.ndarray, selected: list[Pair],
+                                   pool: list[Pair]) -> list[float]:
+    """fisher_information_objective of each non-empty prefix of `selected`,
+    in exact rational arithmetic on the same float64 rows and weights.
+
+    It is free of the rounding of the float solve, whose error grows with
+    the condition of I_q: at a prefix of fewer than d pairs, I_q is close
+    to the ridge, and two selections whose exact objectives agree to 1e-16
+    can differ there by 1e-10 in float64.
+    """
+    d = x.shape[1]
+
+    def weighted_sum(pairs):
+        arr = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        diffs = x[arr[:, 0]] - x[arr[:, 1]]
+        p = expit(diffs @ beta_hat)
+        total = [[Fraction(0)] * d for _ in range(d)]
+        for u, w in zip(diffs.tolist(), (p * (1.0 - p)).tolist()):
+            wu = [Fraction(w) * Fraction(v) for v in u]
+            for a in range(d):
+                for b in range(d):
+                    total[a][b] += wu[a] * Fraction(u[b])
+        return total
+
+    def averaged(total, count):
+        ridge = Fraction(model._FISHER_RIDGE)
+        return [[total[a][b] / count + (ridge if a == b else 0) for b in range(d)] for a in range(d)]
+
+    i_p = averaged(weighted_sum(pool), len(pool))
+    values = []
+    for t in range(1, len(selected) + 1):
+        # Gauss-Jordan on [I_q | I_p] leaves I_q^-1 I_p on the right
+        rows = [q + p for q, p in zip(averaged(weighted_sum(selected[:t]), t), i_p)]
+        for c in range(d):
+            pivot = next(r for r in range(c, d) if rows[r][c] != 0)
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            for r in range(d):
+                if r != c and rows[r][c] != 0:
+                    f = rows[r][c] / rows[c][c]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+        values.append(float(-sum(rows[r][d + r] / rows[r][r] for r in range(d))))
+    return values
+
+
 def _fisher_matrix(x, beta_hat, pairs, ridge):
     arr = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     diffs = x[arr[:, 0]] - x[arr[:, 1]]
     p = expit(diffs @ beta_hat)
     w = p * (1.0 - p)
     return (diffs * w[:, None]).T @ diffs / len(arr) + ridge * np.eye(x.shape[1])
+
+
+def fisher_select_loop(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pair]:
+    """Greedy maximization of the Fisher information trace objective, the
+    direct way: one d x d solve per candidate per pick, over |C| x d
+    difference rows."""
+    ridge = model._FISHER_RIDGE
+    i, j = greedy.resolve_pool(x.shape[0], pool, k)
+    d = x.shape[1]
+    diffs = x[i] - x[j]
+    p = expit(diffs @ beta_hat)
+    w = p * (1.0 - p)
+    eye = ridge * np.eye(d)
+    i_p = (diffs * w[:, None]).T @ diffs / len(i) + eye
+    accum = np.zeros((d, d))
+    chosen: list[int] = []
+    for _ in range(k):
+        best_idx = -1
+        best_val = -np.inf
+        for idx in range(len(i)):
+            if idx in chosen:
+                continue
+            m = (accum + w[idx] * np.outer(diffs[idx], diffs[idx])) / (len(chosen) + 1) + eye
+            val = -float(np.trace(np.linalg.solve(m, i_p)))
+            if val > best_val:
+                best_val = val
+                best_idx = idx
+        chosen.append(best_idx)
+        accum += w[best_idx] * np.outer(diffs[best_idx], diffs[best_idx])
+    return model._pairs(i, j, chosen)

@@ -270,8 +270,9 @@ def test_criterion_08_map_gradient_check(capsys):
 def test_criterion_09_prediction_directionality(capsys):
     # Synthetic N=500, d=20, c_a=1.2, K=100, 50 repeats: mean held-out
     # comparison AUC of the D-optimal selector beats random by >= 0.01.
+    # The fisher baseline's AUC is printed beside them, with no bar.
     means = {}
-    for algorithm in ("sg", "random"):
+    for algorithm in ("sg", "random", "fisher"):
         config = bench.RunConfig(
             algorithm=algorithm, n=500, d=20, c_a=1.2, k=100, repeats=50,
             folds=1, n_absolute=0, map_lambda=1.0, seed=0, workers=1,
@@ -281,7 +282,8 @@ def test_criterion_09_prediction_directionality(capsys):
     gap = means["sg"] - means["random"]
     passed = gap >= 0.01
     announce(capsys, 9, "prediction directionality", passed,
-             f"AUC d-opt={means['sg']:.4f}, random={means['random']:.4f}, gap={gap:.4f}")
+             f"AUC d-opt={means['sg']:.4f}, random={means['random']:.4f}, gap={gap:.4f}, "
+             f"fisher={means['fisher']:.4f}")
     assert gap >= 0.01
 
 

@@ -89,6 +89,13 @@ def test_verify_rejects_bad_lambda():
         bench.verify_equivalence(small_verify_config(lam=-1.0))
 
 
+@pytest.mark.parametrize("shape", [{"n": 80}, {"d": 5}, {"n": 80, "d": 5}])
+def test_verify_sweep_rejects_a_shape(shape):
+    # the sweep cycles its own shapes; a report must not record one it never ran
+    with pytest.raises(ConfigError, match="--single"):
+        bench.verify_equivalence(bench.RunConfig(instances=2, workers=1, **shape))
+
+
 def test_run_evaluation_shapes():
     config = bench.RunConfig(
         algorithm="random", n=40, d=4, k=10, repeats=2, folds=2, workers=1, n_absolute=6

@@ -49,7 +49,29 @@ def test_select_from_csv(tmp_path):
         ]
     )
     assert code == 0
-    assert len(json.loads(out.read_text())["rows"][0]["selected"]) == 3
+    payload = json.loads(out.read_text())
+    assert len(payload["rows"][0]["selected"]) == 3
+    # a CSV dataset records none of the synthetic parameters, which do not apply to it
+    assert not {"n", "d", "sigma_x", "sigma_beta", "c_a", "n_absolute"} & set(payload["meta"]["config"])
+
+
+def test_select_from_csv_repeats_only_random(tmp_path):
+    # random draws a new set per repeat; every other selector would repeat one set
+    data_io.write_features(tmp_path / "x.csv", np.random.default_rng(0).normal(size=(12, 3)))
+    out = tmp_path / "report.json"
+    code = cli.main(["select", "--algorithm", "random", "--k", "2", "--repeats", "3",
+                     "--features", str(tmp_path / "x.csv"), "--out", str(out), "--workers", "1"])
+    assert code == 0
+    assert len({str(row["selected"]) for row in json.loads(out.read_text())["rows"]}) > 1
+
+
+def test_fisher_evaluates_at_the_paper_shape(tmp_path):
+    # a 70,125-pair training pool per fold
+    out = tmp_path / "report.json"
+    code = cli.main(["evaluate", "--algorithm", "fisher", "--synthetic", "n=500,d=20", "--k", "100",
+                     "--folds", "1", "--workers", "1", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["rows"][0]["auc_comparison"] is not None
 
 
 def test_verify_single(tmp_path, capsys):
@@ -174,9 +196,9 @@ def test_label_csvs_without_features_are_rejected(tmp_path, capsys):
 
 
 def test_library_errors_exit_4(capsys):
-    # 150 training samples give 11,175 candidate pairs, past fisher's guard
+    # features of scale 1e200 overflow the design matrix, whose factorization fails
     code = cli.main(
-        ["evaluate", "--algorithm", "fisher", "--synthetic", "n=200,d=10", "--k", "5",
+        ["evaluate", "--algorithm", "sg", "--synthetic", "n=20,d=3,sigma-x=1e200", "--k", "3",
          "--folds", "1", "--workers", "1"]
     )
     assert code == 4
@@ -199,17 +221,15 @@ def test_overflowing_features_exit_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("algorithm", ["ng", "fg", "sg", "flm"])
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_overflowing_features_print_only_the_error_line(tmp_path, workers, algorithm):
+def test_overflowing_features_print_only_the_error_line(workers, algorithm):
     # numpy's overflow warnings on the way to the error stay off stderr, in
-    # worker processes too: spawned workers inherit no error state by fork
-    x = np.random.default_rng(0).normal(size=(6, 3))
-    x[2, 1] = 1e308
-    data_io.write_features(tmp_path / "f.csv", x)
-    data_io.write_absolute(tmp_path / "a.csv", [(0, 1), (1, -1)])
+    # worker processes too: spawned workers inherit no error state by fork.
+    # Features of scale 1e200 overflow the design matrix. The two repeats that
+    # start the workers need a synthetic dataset: a CSV one repeats no engine.
     script = ("import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
               "from pairdesign import cli; sys.exit(cli.main(sys.argv[1:]))")
-    argv = ["select", "--algorithm", algorithm, "--features", str(tmp_path / "f.csv"),
-            "--absolute", str(tmp_path / "a.csv"), "--k", "2", "--workers", workers, "--repeats", "2"]
+    argv = ["select", "--algorithm", algorithm, "--synthetic", "n=6,d=3,sigma-x=1e200",
+            "--k", "2", "--workers", workers, "--repeats", "2"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
     assert done.returncode == 4
@@ -337,6 +357,11 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
     (["select", "--features", "x.csv", "--synthetic", "c-a=3", "--k", "2"], None, "--synthetic and --features"),
     (["bench", "--algorithms", "sg", "--features", "x.csv", "--synthetic", "n=50,d=4", "--k", "2"], None,
      "--synthetic and --features"),
+    # a CSV dataset is fixed: only random draws a new selection per repeat
+    (["select", "--features", "x.csv", "--algorithm", "sg", "--repeats", "3", "--k", "2", "--workers", "1"], None,
+     "--repeats 3"),
+    (["select", "--features", "x.csv", "--algorithm", "fisher", "--repeats", "2", "--k", "2", "--workers", "1"], None,
+     "--repeats 2"),
 ])
 def test_usage_error_names_the_bad_value(capsys, monkeypatch, argv, workers_env, message):
     monkeypatch.delenv(bench.WORKERS_ENV, raising=False)

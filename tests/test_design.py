@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pairdesign import design
-from pairdesign.errors import InstanceTooLarge
 
 import oracles
 from conftest import pair_list, random_instance
@@ -138,5 +137,5 @@ def test_brute_force_matches_independent_enumeration():
 
 def test_brute_force_guard():
     x, absolute_set = random_instance(17, n=60, d=3)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(oracles.InstanceTooLarge):
         oracles.brute_force_select(x, absolute_set, 10, 1e-4)

@@ -52,6 +52,12 @@ def test_cholesky_factor_rejects_indefinite():
         linalg.cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_cholesky_factor_rejects_an_overflowed_matrix():
+    # LAPACK takes the infinite pivot without an error and returns a non-finite factor
+    with np.errstate(all="ignore"), pytest.raises(NotPositiveDefinite):
+        linalg.cholesky_factor(np.array([[np.inf, 1.0], [1.0, 2.0]]))
+
+
 def test_gram_factor(rng):
     m = random_spd(rng, 7)
     u = linalg.gram_factor(m)

@@ -13,10 +13,10 @@ from scipy.special import expit, xlogy
 from scipy.stats import rankdata
 
 from pairdesign import model
-from pairdesign.errors import DegenerateLabelSet, InstanceTooLarge
+from pairdesign.errors import DegenerateLabelSet
 
 import oracles
-from conftest import random_instance
+from conftest import duplicate_row_instance, pair_list, random_instance
 
 
 def finite_difference_gradient(params, x, data, eps=1e-6):
@@ -89,8 +89,9 @@ def test_map_fit_no_data_returns_zero():
 
 def test_map_fit_rejects_nonpositive_lambda():
     x, data = make_labeled(1, n=10, d=3)
-    with pytest.raises(ValueError):
-        model.map_fit(x, data, lam=0.0)
+    for lam in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            model.map_fit(x, data, lam=lam)
 
 
 def test_map_fit_recovers_direction():
@@ -116,6 +117,13 @@ def test_sampler_deterministic():
     i, j = np.array([0, 2, 10]), np.array([1, 5, 20])
     assert s1.absolute(range(10)) == s2.absolute(range(10))
     assert s1.comparisons(i, j) == s2.comparisons(i, j)
+
+
+@pytest.mark.parametrize("key", ["sigma_x", "sigma_beta", "c_a"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_sampler_rejects_a_scale_that_is_not_positive_and_finite(key, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        model.sample_synthetic(2, 2, **{key: value})
 
 
 def test_synthetic_labels_threshold_their_uniforms():
@@ -297,11 +305,50 @@ def test_fisher_select_improves_objective():
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
-def test_fisher_pool_guard():
-    x, _ = random_instance(1, n=200, d=3)
-    pool = [(i, j) for i in range(200) for j in range(i + 1, 200)]
-    with pytest.raises(InstanceTooLarge):
-        model.fisher_select(x, np.zeros(3), 2, pool)
+def test_fisher_select_matches_the_solve_loop():
+    # one rank-one score per pick against one solve per candidate, d > N included
+    for n, d in ((12, 3), (30, 6), (20, 30), (60, 10)):
+        universe = pair_list(n)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x, beta = rng.normal(size=(n, d)), rng.normal(size=d)
+            listed = [universe[e] for e in rng.choice(len(universe), size=min(len(universe), 3 * n), replace=False)]
+            # a pool of 6 pairs for 5 picks: a picked pair must not be picked again
+            for pool in (None, listed, listed[:6]):
+                expected = oracles.fisher_select_loop(x, beta, 5, pool)
+                assert model.fisher_select(x, beta, 5, pool) == expected, (n, d, seed)
+
+
+def test_fisher_select_reaches_the_loop_objective_on_tied_instances():
+    # duplicate rows tie pairs exactly, and each route may take another pair
+    # of a tie; the objective, computed exactly, must agree at every prefix
+    for seed in range(10):
+        x, _ = duplicate_row_instance(seed)
+        beta = np.random.default_rng((seed, 1)).normal(size=x.shape[1])
+        selected = model.fisher_select(x, beta, 8, None)
+        expected = oracles.fisher_select_loop(x, beta, 8, None)
+        if selected == expected:
+            continue
+        pool = pair_list(len(x))
+        ours = oracles.fisher_prefix_objectives_exact(x, beta, selected, pool)
+        theirs = oracles.fisher_prefix_objectives_exact(x, beta, expected, pool)
+        for t, (a, b) in enumerate(zip(ours, theirs), 1):
+            assert abs(a - b) <= 1e-12 * abs(b), (seed, t)
+
+
+def test_fisher_select_memory_is_linear_in_the_pool():
+    # quadratic forms over the N samples in Gram form, never |C| x d difference
+    # rows (512 bytes a pair at d=64)
+    x, _ = random_instance(3, n=400, d=64)
+    beta = np.random.default_rng(3).normal(size=64)
+    model.fisher_select(x, beta, 2, None)  # first call imports scipy.special
+    tracemalloc.start()
+    try:
+        model.fisher_select(x, beta, 2, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * (400 * 399 // 2)
 
 
 def test_random_select_deterministic():
