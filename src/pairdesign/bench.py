@@ -20,15 +20,13 @@ from .lazy import BlockSearch
 from .model import LabeledData
 from .trace import SelectionTrace
 
-WORKERS_ENV = "PAIRDESIGN_WORKERS"
-
 # The eight design engines: each tag is one search over one gain oracle,
 # under a memo policy.
 ENGINES = {
     engine.tag: engine
     for engine in (
         Engine("ng", EagerSearch, NaiveOracle),
-        Engine("fg", EagerSearch, FactorizationOracle),
+        Engine("fg", EagerSearch, FactorizationOracle, "precompute"),
         Engine("sg", EagerSearch, ScalarOracle),
         Engine("nl", BlockSearch, NaiveOracle),
         Engine("flp", BlockSearch, FactorizationOracle, "precompute"),
@@ -117,21 +115,12 @@ def _check_design(config: RunConfig) -> None:
 
 
 def resolve_workers(config: RunConfig) -> int:
-    """Worker count from `--workers`, else `PAIRDESIGN_WORKERS`, else the CPU count."""
-    if config.workers is not None:
-        if config.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {config.workers}")
-        return config.workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-        if workers < 1:
-            raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-        return workers
-    return os.cpu_count() or 1
+    """Worker count from `--workers`, else the CPU count."""
+    if config.workers is None:
+        return os.cpu_count() or 1
+    if config.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {config.workers}")
+    return config.workers
 
 
 def _pmap(fn, items, workers):
@@ -255,10 +244,9 @@ def _config_meta(config: RunConfig) -> dict:
 
 
 def _verify_instance(args) -> dict:
-    index, seed, n, d, k, lam, n_absolute, engines = args
-    engines = ENGINES if engines is None else engines
+    index, seed, n, d, k, lam, n_absolute = args
     x, absolute_set, _ = make_instance(seed, n, d, n_absolute=n_absolute)
-    reference = engines["ng"](x, absolute_set, k, lam).selected
+    reference = ENGINES["ng"](x, absolute_set, k, lam).selected
     f_ref = objective_value(x, absolute_set, reference, lam)
     result = {
         "instance": index,
@@ -272,7 +260,7 @@ def _verify_instance(args) -> dict:
         "exact": True,
         "within_tolerance": True,
     }
-    for tag, engine in engines.items():
+    for tag, engine in ENGINES.items():
         if tag == "ng":
             continue
         selected = engine(x, absolute_set, k, lam).selected
@@ -291,11 +279,9 @@ def _verify_instance(args) -> dict:
     return result
 
 
-def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Report]:
+def verify_equivalence(config: RunConfig) -> tuple[int, report.Report]:
     """Run all eight design engines on seeded instances and compare sets.
 
-    `engines` replaces the `ENGINES` table for this call (it must include
-    "ng"); such a table runs inline, as its entries need not be picklable.
     Exit status 0 when at least 95% of instances agree exactly and every
     mismatch stays within the relative objective tolerance.
     """
@@ -307,16 +293,14 @@ def verify_equivalence(config: RunConfig, engines=None) -> tuple[int, report.Rep
     n, d = VERIFY_GRID[0]
     config = replace(config, n=config.n or n, d=config.d or d)
     if config.single:
-        specs = [(0, config.seed, config.n, config.d, config.k, config.lam, config.n_absolute, engines)]
+        specs = [(0, config.seed, config.n, config.d, config.k, config.lam, config.n_absolute)]
     else:
         if config.instances < 1:
             raise ConfigError(f"instances must be >= 1, got {config.instances}")
         specs = []
         for idx in range(config.instances):
             n, d = VERIFY_GRID[idx % len(VERIFY_GRID)]
-            specs.append((idx, config.seed + idx, n, d, config.k, config.lam, config.n_absolute, engines))
-    if config.single or engines is not None:
-        workers = 1
+            specs.append((idx, config.seed + idx, n, d, config.k, config.lam, config.n_absolute))
     results = _pmap(_verify_instance, specs, workers)
 
     exact_count = sum(1 for r in results if r["exact"])

@@ -2,8 +2,8 @@
 
 Subcommands: select, verify, evaluate, bench. Exit codes: 0 success,
 1 verification failure, 2 usage error (for example k above the candidate
-pool), 3 I/O error, 4 any other library error (for example a design
-matrix that is not positive definite).
+pool), 3 I/O error or malformed CSV, 4 any other library error (for
+example a design matrix that is not positive definite).
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_ERROR = 4
+
+# The exit code of an error: that of the first class in its MRO listed here.
+_EXIT_CODES = {ConfigError: EXIT_USAGE, ParseError: EXIT_IO, OSError: EXIT_IO, PairDesignError: EXIT_ERROR}
 
 _SYNTHETIC_KEYS = {
     "n": ("n", int),
@@ -58,17 +61,17 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--features", dest="features_csv", metavar="CSV", help="feature matrix CSV (id,f0,...)")
     parser.add_argument("--absolute", dest="absolute_csv", metavar="CSV", help="absolute labels CSV (id,label)")
     parser.add_argument("--comparisons", dest="comparisons_csv", metavar="CSV", help="comparison labels CSV (i,j,label); not supported yet, rejected")
-    parser.add_argument("--repeats", type=int, default=1, help="independent repeats, repeat r drawing its synthetic dataset from (seed, r)")
+    parser.add_argument("--repeats", type=int, help="independent repeats, repeat r drawing its synthetic dataset from (seed, r)")
 
 
 def _add_common_args(parser: argparse.ArgumentParser,
-                     workers_help: str = "worker processes (default: env or cpu count)") -> None:
-    parser.add_argument("--k", type=int, default=20, help="number of comparisons to select")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1e-4, help="design ridge weight")
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--workers", type=int, default=None, help=workers_help)
+                     workers_help: str = "worker processes (default: cpu count)") -> None:
+    parser.add_argument("--k", type=int, help="number of comparisons to select")
+    parser.add_argument("--lambda", dest="lam", type=float, help="design ridge weight")
+    parser.add_argument("--seed", type=int, help="base random seed")
+    parser.add_argument("--workers", type=int, help=workers_help)
     parser.add_argument("--out", metavar="PATH", help="write report to PATH")
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    parser.add_argument("--format", dest="fmt", choices=("json", "csv"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,23 +82,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_select = sub.add_parser("select", help="run one selection algorithm")
-    p_select.add_argument("--algorithm", default="ng", help=f"one of {', '.join(bench.ALGORITHMS)}")
+    p_select.add_argument("--algorithm", help=f"one of {', '.join(bench.ALGORITHMS)}")
     _add_common_args(p_select)
     _add_dataset_args(p_select)
 
     p_verify = sub.add_parser("verify", help="check that all design engines select identical sets")
     _add_common_args(p_verify)
-    p_verify.add_argument("--instances", type=int, default=bench.VERIFY_INSTANCES)
+    p_verify.add_argument("--instances", type=int)
     p_verify.add_argument("--single", action="store_true", help="verify a single instance")
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--d", type=int, default=None)
+    p_verify.add_argument("--n", type=int)
+    p_verify.add_argument("--d", type=int)
 
     p_eval = sub.add_parser("evaluate", help="selection -> label reveal -> fit -> held-out AUC")
-    p_eval.add_argument("--algorithm", default="ng", help=f"one of {', '.join(bench.ALGORITHMS)}")
+    p_eval.add_argument("--algorithm", help=f"one of {', '.join(bench.ALGORITHMS)}")
     _add_common_args(p_eval)
     _add_dataset_args(p_eval)
-    p_eval.add_argument("--folds", type=int, default=4)
-    p_eval.add_argument("--map-lambda", dest="map_lambda", type=float, default=1e-2)
+    p_eval.add_argument("--folds", type=int)
+    p_eval.add_argument("--map-lambda", dest="map_lambda", type=float)
 
     p_bench = sub.add_parser("bench", help="timing comparison across design engines")
     p_bench.add_argument("--algorithms", default="ng,fg,sg", help="comma-separated engine tags")
@@ -138,16 +141,12 @@ def main(argv=None) -> int:
     import numpy as np
 
     with np.errstate(all="ignore"):
-        return _run(parser, args)
+        return _run(args)
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> int:
     try:
         config = _build_config(args)
-        if args.command == "select":
-            rep = bench.run_selection(config)
-            _emit(rep, config)
-            return EXIT_OK
         if args.command == "verify":
             status, rep = bench.verify_equivalence(config)
             _emit(rep, config)
@@ -155,29 +154,18 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                   f"({rep.aggregates['exact']}/{rep.aggregates['instances']} exact) "
                   f"hash={rep.content_hash()}", file=sys.stderr)
             return EXIT_OK if status == 0 else EXIT_VERIFY_FAILED
-        if args.command == "evaluate":
+        if args.command == "select":
+            rep = bench.run_selection(config)
+        elif args.command == "evaluate":
             rep = bench.run_evaluation(config)
-            _emit(rep, config)
-            return EXIT_OK
-        if args.command == "bench":
+        else:  # bench
             tags = [t.strip() for t in args.algorithms.split(",") if t.strip()]
             rep = bench.run_bench(config, tags)
-            _emit(rep, config)
-            return EXIT_OK
-        parser.error(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        _emit(rep, config)
+        return EXIT_OK
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PairDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_USAGE
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -23,16 +23,14 @@ def _read_table(path, what, header):
 
     `what` names the file in the empty-file error. `header` is the expected
     header row, or None for the features header ``id,f0,...``, whose width
-    sets d. A row of another width than the header raises `ParseError`, or
-    `DimensionMismatch` in the features file.
+    sets d. A row of another width than the header raises `DimensionMismatch`.
     """
     with open(path, newline="") as fh:
         rows = enumerate(csv.reader(fh), start=1)
         first = next(rows, (1, None))[1]
         if first is None:
             raise ParseError(f"empty {what} file", line=1)
-        features = header is None
-        if features:
+        if header is None:
             if not first or first[0] != "id":
                 raise ParseError(f"expected 'id' header, got {first[:1]}", line=1)
             if len(first) < 2:
@@ -42,10 +40,7 @@ def _read_table(path, what, header):
             raise ParseError(f"expected header {','.join(header)}", line=1)
         for lineno, row in rows:
             if len(row) != len(header):
-                message = f"expected {len(header)} columns, got {len(row)}"
-                if features:
-                    raise DimensionMismatch(f"line {lineno}: {message}")
-                raise ParseError(message, line=lineno)
+                raise DimensionMismatch(f"expected {len(header)} columns, got {len(row)}", line=lineno)
             yield lineno, row
 
 
@@ -86,7 +81,7 @@ def load_absolute(path, n: int) -> list[tuple[int, int]]:
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
         if not 0 <= idx < n:
-            raise DimensionMismatch(f"line {lineno}: id {idx} out of range for {n} samples")
+            raise DimensionMismatch(f"id {idx} out of range for {n} samples", line=lineno)
         out.append((idx, _parse_label(row[1], lineno)))
     return out
 
@@ -99,7 +94,7 @@ def load_comparisons(path, n: int) -> list[tuple[tuple[int, int], int]]:
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
         if not (0 <= i < j < n):
-            raise DimensionMismatch(f"line {lineno}: pair ({i}, {j}) invalid for {n} samples")
+            raise DimensionMismatch(f"pair ({i}, {j}) invalid for {n} samples", line=lineno)
         out.append(((i, j), _parse_label(row[2], lineno)))
     return out
 

@@ -31,12 +31,16 @@ class ParseError(PairDesignError):
         self.line = line
 
 
-class DimensionMismatch(PairDesignError):
+class DimensionMismatch(ParseError):
     """Row width or index range inconsistent with the feature matrix."""
 
 
 class InvalidLabel(ParseError):
     """A label outside {-1, +1} was encountered."""
+
+
+class DivergentFit(PairDesignError):
+    """A model fit's loss left the finite range."""
 
 
 class DegenerateLabelSet(PairDesignError):

@@ -193,12 +193,13 @@ class GainOracle:
     """Gains d_e of a pool (pi, pj) under the evolving A^-1; the shared part.
 
     `initial()` gives every pool entry's gain for the empty selection;
-    `refresh(b, it)` gives the gains of pool entries `b` (an index array, or
-    `_ALL`) at iteration `it`; `update(pair, it)` applies the selection of
-    iteration `it`. Every oracle takes the same arguments; `k` sizes the
-    scalar history and `memo` is the memo policy: None, "precompute" or
-    "memoize". `computed` counts the scratch entries a memoized oracle has
-    filled, and is None for the others.
+    `refresh(b, it)` gives the gains of pool entries `b` at iteration `it`:
+    an index array, or `_ALL`, which an oracle may serve by a whole-pool
+    formula; `update(pair, it)` applies the selection of iteration `it`.
+    Every oracle takes the same arguments; `k` sizes the scalar history and
+    `memo` is the memo policy: None, "precompute" or "memoize". `computed`
+    counts the scratch entries a memoized oracle has filled, and is None
+    for the others.
     """
 
     def __init__(self, x, absolute_set, lam, pi, pj, k, memo=None):
@@ -239,11 +240,11 @@ class FactorizationOracle(GainOracle):
     """Gains through the samples mapped by the A^-1 that the downdates keep.
 
     With z_i = A^-1 x_i and q_i = x_i.z_i, d_e = q_i + q_j - 2 x_i.z_j.
-    With `memo` None (`fg`) the gains come in Gram form, from X Z^T;
-    otherwise entry by entry from the rows x_i and z_j of the refreshed
-    block. Z = X A^-1 and q are formed for every sample at the first refresh
-    of an iteration ("precompute"), or each sample's z_i and q_i on its
-    first use within the iteration ("memoize").
+    A refresh of the whole pool (`_ALL`, as `fg` asks for) takes the gains
+    in Gram form, from X Z^T; a refresh of a block, entry by entry from the
+    rows x_i and z_j of the block. Z = X A^-1 and q are formed for every
+    sample at the first refresh of an iteration ("precompute"), or each
+    sample's z_i and q_i on its first use within the iteration ("memoize").
     """
 
     mapped = -1  # iteration of the current Z, unless memoized
@@ -261,10 +262,10 @@ class FactorizationOracle(GainOracle):
             self.q = np.einsum("nd,nd->n", self.x, self.z)
             self.mapped = it
         i, j = self.pi[b], self.pj[b]
-        if self.memo is None:
-            return factorization_gains(self.x, self.z, self.q, i, j)
         if self.memo == "memoize":
             self._map(np.concatenate((i, j)), it)
+        if b is _ALL:
+            return factorization_gains(self.x, self.z, self.q, i, j)
         cross = np.einsum("ed,ed->e", self.x.take(i, axis=0), self.z.take(j, axis=0))
         return self.q.take(i) + self.q.take(j) - 2.0 * cross
 

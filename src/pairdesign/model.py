@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .design import Pair
-from .errors import DegenerateLabelSet
+from .errors import DegenerateLabelSet, DivergentFit
 from .greedy import factorization_gains, resolve_pool
 
 _FISHER_RIDGE = 1e-6
@@ -135,7 +135,8 @@ def map_fit(
     """Deterministic gradient descent with backtracking line search.
 
     The loss is strictly convex for a positive, finite lam, so the minimizer is unique;
-    convergence is declared on the gradient norm.
+    convergence is declared on the gradient norm. A step that leaves the loss
+    non-finite, as features of overflowing scale do, raises `DivergentFit`.
     """
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
@@ -155,6 +156,8 @@ def map_fit(
             if cand_loss <= loss - 1e-4 * step * grad_norm**2 or step < 1e-20:
                 break
             step *= 0.5
+        if not math.isfinite(cand_loss):
+            raise DivergentFit(f"MAP fit loss reached {cand_loss} at iteration {iterations + 1}")
         beta, loss, grad = cand, cand_loss, cand_grad
         grad_norm = float(np.linalg.norm(grad))
         step *= 2.0

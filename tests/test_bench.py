@@ -64,24 +64,20 @@ def test_verify_single_instance_passes():
     assert rep.aggregates["failures"] == []
 
 
-def test_verify_detects_corrupted_engine():
+def test_verify_detects_corrupted_engine(monkeypatch):
     sg = bench.ENGINES["sg"]
 
     def broken(x, absolute_set, k, lam, pool=None):
-        # the override table is passed along, never swapped into the registry
-        assert bench.ENGINES["sg"] is sg
         trace = sg(x, absolute_set, k, lam, pool=pool)
         trace.selected = list(reversed(trace.selected))
         return trace
 
-    engines = dict(bench.ENGINES)
-    engines["sg"] = broken
-    status, rep = bench.verify_equivalence(small_verify_config(), engines=engines)
+    # one worker: the instances run in this process, where the table is patched
+    monkeypatch.setitem(bench.ENGINES, "sg", broken)
+    status, rep = bench.verify_equivalence(small_verify_config(workers=1))
     assert status == 1
     assert rep.aggregates["failures"]
     assert "sg" in rep.aggregates["failures"][0]["variants"]
-    # the override table must not leak into the global registry
-    assert bench.ENGINES["sg"] is sg
 
 
 def test_verify_rejects_bad_lambda():
@@ -127,13 +123,12 @@ def test_run_bench_warms_up_and_reports():
         bench.run_bench(config, ["entropy"])
 
 
-def test_resolve_workers_env(monkeypatch):
-    config = bench.RunConfig(n=10, d=2)
-    monkeypatch.setenv(bench.WORKERS_ENV, "3")
+def test_resolve_workers_env():
+    config = bench.RunConfig(n=10, d=2, workers=3)
     assert bench.resolve_workers(config) == 3
-    config.workers = 1
-    assert bench.resolve_workers(config) == 1
-    monkeypatch.delenv(bench.WORKERS_ENV)
+    config.workers = 0
+    with pytest.raises(ConfigError, match="--workers must be >= 1"):
+        bench.resolve_workers(config)
     config.workers = None
     assert bench.resolve_workers(config) >= 1
 

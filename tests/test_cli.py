@@ -164,7 +164,19 @@ def test_io_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,f0\n0,not-a-number\n")
     assert cli.main(["select", "--features", str(bad)]) == 3
+    # a row of the wrong width and an id out of range are malformed CSV too
+    short = tmp_path / "short.csv"
+    short.write_text("id,f0,f1\n0,1.0,2.0\n1,3.0\n2,5.0,6.0\n")
+    features = tmp_path / "x.csv"
+    features.write_text("id,f0\n0,1.0\n1,2.0\n2,4.0\n")
+    absolute = tmp_path / "a.csv"
+    absolute.write_text("id,label\n0,1\n3,-1\n")
     capsys.readouterr()
+    for argv, message in ((["--features", str(short)], "line 3: expected 3 columns, got 2"),
+                          (["--features", str(features), "--absolute", str(absolute)],
+                           "line 3: id 3 out of range for 3 samples")):
+        assert cli.main(["select", "--k", "1", "--workers", "1", *argv]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_comparisons_csv_is_rejected(tmp_path, capsys):
@@ -196,14 +208,16 @@ def test_label_csvs_without_features_are_rejected(tmp_path, capsys):
 
 
 def test_library_errors_exit_4(capsys):
-    # features of scale 1e200 overflow the design matrix, whose factorization fails
-    code = cli.main(
-        ["evaluate", "--algorithm", "sg", "--synthetic", "n=20,d=3,sigma-x=1e200", "--k", "3",
-         "--folds", "1", "--workers", "1"]
-    )
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    # features of scale 1e200 overflow the design matrix, whose factorization
+    # fails, and the loss of every model fit, baselines' fits included
+    for algorithm in ("sg", "random", "entropy", "fisher"):
+        code = cli.main(
+            ["evaluate", "--algorithm", algorithm, "--synthetic", "n=20,d=3,sigma-x=1e200", "--k", "3",
+             "--folds", "1", "--workers", "1"]
+        )
+        assert code == 4, algorithm
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, algorithm
 
 
 def test_overflowing_features_exit_4(tmp_path, capsys):
@@ -241,6 +255,13 @@ def test_module_entry_point_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "pairdesign", "--help"], env=env, capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: pairdesign")
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate", "verify", "bench"])
+def test_unset_flags_keep_the_config_defaults(command):
+    # each default lives in RunConfig alone; a flag left out changes no field
+    args = cli.build_parser().parse_args([command])
+    assert cli._build_config(args) == bench.RunConfig()
 
 
 def test_help_exits_zero():
@@ -305,7 +326,8 @@ _SINGLE = ["verify", "--single", "--k", "3", "--workers", "1"]
 _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--k", "3", "--folds", "1", "--workers", "1"]
 
 
-@pytest.mark.parametrize("argv, workers_env, message", [
+# `workers`, when given, is a --workers value appended to argv
+@pytest.mark.parametrize("argv, workers, message", [
     (_SELECT + ["--lambda", "nan"], None, "lambda must be positive and finite"),
     (_SELECT + ["--lambda", "inf"], None, "lambda must be positive and finite"),
     (_SINGLE + ["--lambda", "nan"], None, "lambda must be positive and finite"),
@@ -316,8 +338,8 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
     (_SELECT + ["--workers", "0"], None, "--workers must be >= 1"),
     (_SELECT + ["--workers", "-2"], None, "--workers must be >= 1"),
     (_SINGLE + ["--workers", "0"], None, "--workers must be >= 1"),
-    (_SELECT[:-2], "abc", "PAIRDESIGN_WORKERS must be an integer"),
-    (_SELECT[:-2], "0", "PAIRDESIGN_WORKERS must be >= 1"),
+    (_EVALUATE[:-2], "0", "--workers must be >= 1"),
+    (["verify", "--instances", "2"], "-1", "--workers must be >= 1"),
     (["verify", "--instances", "0", "--workers", "1"], None, "instances must be >= 1"),
     (_SINGLE + ["--k", "0"], None, "k must be >= 1"),
     (["verify", "--n", "15", "--instances", "1", "--workers", "1"], None, "--single"),
@@ -363,10 +385,9 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
     (["select", "--features", "x.csv", "--algorithm", "fisher", "--repeats", "2", "--k", "2", "--workers", "1"], None,
      "--repeats 2"),
 ])
-def test_usage_error_names_the_bad_value(capsys, monkeypatch, argv, workers_env, message):
-    monkeypatch.delenv(bench.WORKERS_ENV, raising=False)
-    if workers_env is not None:
-        monkeypatch.setenv(bench.WORKERS_ENV, workers_env)
+def test_usage_error_names_the_bad_value(capsys, argv, workers, message):
+    if workers is not None:
+        argv = [*argv, "--workers", workers]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -232,7 +232,6 @@ def test_engine_path_loads_no_scipy(run):
     )
     src = str(Path(model.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    env.pop("PAIRDESIGN_WORKERS", None)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
