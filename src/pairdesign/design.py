@@ -8,6 +8,13 @@ N samples of a feature matrix. The objective of a selected set S is
 with x_ij = x_i - x_j. `objective_value` computes this from scratch and is
 the slow oracle; the engines only ever touch the proxy gain x_e^T A^-1 x_e,
 starting from the inverse that `init_design` forms for the empty selection.
+
+Every row x_i - x_j and x_i lies in the row space of X. With a thin QR
+X^T = Q R of r = min(N, d) columns and y_i row i of R^T, A = lambda I + Q B Q^T,
+B built from the y's, so x_e^T A^-1 x_e = y_e^T (lambda I_r + B)^-1 y_e and
+logdet A = logdet(lambda I_r + B) + (d - r) log lambda, for any rank of X.
+When d is well above N, the engines and `objective_value` work on the y's
+(`sample_coordinates`): every d x d matrix becomes r x r.
 """
 
 from __future__ import annotations
@@ -48,18 +55,39 @@ def design_matrix(x: np.ndarray, absolute_set, selected, lam: float) -> np.ndarr
     return linalg.symmetrize(m)
 
 
-def init_design(x: np.ndarray, absolute_set, lam: float) -> np.ndarray:
-    """A_0^-1, the inverse design matrix with S empty, inverted directly."""
+def _check_inputs(x: np.ndarray, lam: float) -> None:
+    """Raise ValueError for a lambda that is not positive and finite, or
+    for a feature row with a NaN or infinite entry, naming the first."""
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
     if not np.isfinite(x).all():
         row = int(np.isfinite(x).all(axis=1).argmin())
         raise ValueError(f"feature row {row} is not finite")
+
+
+def sample_coordinates(x: np.ndarray, lam: float) -> np.ndarray:
+    """The sample rows the engines work on: X, or its coordinates R^T in
+    its row space when 2 d >= 3 N, above the measured crossover where the
+    QR costs less than the d-wide work it saves. The inputs are checked
+    first, so that an error names the caller's row."""
+    _check_inputs(x, lam)
+    n, d = x.shape
+    if 2 * d < 3 * n:
+        return x
+    return np.linalg.qr(x.T, mode="r").T
+
+
+def init_design(x: np.ndarray, absolute_set, lam: float) -> np.ndarray:
+    """A_0^-1, the inverse design matrix with S empty, inverted directly."""
+    _check_inputs(x, lam)
     return linalg.invert_spd(design_matrix(x, absolute_set, [], lam))
 
 
 def objective_value(x: np.ndarray, absolute_set, selected, lam: float) -> float:
-    """logdet of the design matrix, computed from scratch via Cholesky."""
-    m = design_matrix(x, absolute_set, selected, lam)
+    """logdet of the design matrix, computed from scratch via Cholesky, on
+    the engines' `sample_coordinates`: no d x d matrix is formed when
+    d is well above N."""
+    y = sample_coordinates(x, lam)
+    m = design_matrix(y, absolute_set, selected, lam)
     f = linalg.cholesky_factor(m)
-    return 2.0 * float(np.sum(np.log(np.diag(f))))
+    return 2.0 * float(np.sum(np.log(np.diag(f)))) + (x.shape[1] - y.shape[1]) * math.log(lam)

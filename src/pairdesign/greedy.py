@@ -31,6 +31,10 @@ The scalar oracles hold A^-1 in product form, A_0^-1 - V^T V: `ainv` stays
 the base inverse A_0^-1 and the update vectors V grow by one row per
 selection.
 
+Every engine runs on `design.sample_coordinates`: when 2 d >= 3 N, the
+samples' coordinates in the row space of X, which give every gain the
+same value; every d above then reads d' = min(N, d).
+
 Every selector, engine or baseline, reads its pool through `resolve_pool`,
 as index arrays (I, J) in lexicographic pair order. Ties in d_e resolve to
 the lexicographically smallest pair: gains are laid out in that order and
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .design import Pair, comparison_feature, init_design, pair_arrays
+from .design import Pair, comparison_feature, init_design, pair_arrays, sample_coordinates
 from .errors import InvalidPool
 from .trace import SelectionTrace
 
@@ -381,9 +385,10 @@ class Engine:
     """A search class driving a gain oracle class under a memo policy.
 
     Calling the engine selects `k` pairs of `pool` (see `resolve_pool`)
-    greedily. The preprocessing phase covers the oracle's construction
-    and the search's setup; each iteration then times the search's pick
-    (find-max) and the oracle's update.
+    greedily. The preprocessing phase covers the samples' coordinates
+    (`design.sample_coordinates`), the oracle's construction and the
+    search's setup; each iteration then times the search's pick (find-max)
+    and the oracle's update.
     """
 
     tag: str
@@ -397,7 +402,7 @@ class Engine:
         clock = time.perf_counter
 
         t0 = clock()
-        oracle = self.oracle(x, absolute_set, lam, pi, pj, k, self.memo)
+        oracle = self.oracle(sample_coordinates(x, lam), absolute_set, lam, pi, pj, k, self.memo)
         search.start(oracle)
         pre_seconds = clock() - t0
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .design import Pair
+from .design import Pair, sample_coordinates
 from .errors import DegenerateLabelSet, DivergentFit
 from .greedy import factorization_gains, resolve_pool
 
@@ -217,12 +217,15 @@ def fisher_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pai
     at margin m_e. At pick t, pair e makes I_q = B + c u_e u_e^T, c = w_e / (t + 1),
     so by Sherman-Morrison a pick ranks the pool by w_e g_e / (t + 1 + w_e h_e),
     where h_e and g_e are u_e's quadratic forms under B^-1 and B^-1 I_p B^-1.
+    Off the row space of X, B and I_p are both the ridge, so the forms run on
+    the engines' `design.sample_coordinates`, with the same values.
     """
     from scipy.special import expit
 
     i, j = resolve_pool(len(x), pool, k)
     s = x @ beta_hat
     w = expit(s[i] - s[j]) * expit(s[j] - s[i])
+    x = sample_coordinates(x, _FISHER_RIDGE)
     # I_p = X^T L X over the pool's graph Laplacian L, with edge weights w
     lap = np.zeros((len(x), len(x)))
     lap[i, j] = lap[j, i] = -w

@@ -2,9 +2,10 @@
 
 Slow, direct routes to what the engines and the model compute fast: an
 explicit inverse design matrix advanced one pair at a time, exhaustive
-selection, the MAP loss and its gradient, the Fisher trace objective and
-its greedy selection by one solve per candidate, and an eager search that
-keeps every iteration's gains. The package never calls them.
+selection, the objective in exact rational arithmetic, the MAP loss and its
+gradient, the Fisher trace objective and its greedy selection by one solve
+per candidate, and an eager search that keeps every iteration's gains. The
+package never calls them.
 """
 
 import math
@@ -98,6 +99,34 @@ def brute_force_select(x: np.ndarray, absolute_set, k: int, lam: float, pool=Non
             best_value = value
             best = subset
     return list(best)
+
+
+def objective_exact(x: np.ndarray, absolute_set, selected, lam: float) -> float:
+    """The objective of `selected`, exact in rationals on the float64 rows
+    up to the final logarithms.
+
+    With R the m design rows, logdet(lambda I_d + R^T R) equals
+    (d - m) log lambda + logdet(lambda I_m + R R^T), whose determinant is
+    taken by exact elimination on m x m rationals.
+    """
+    features = [[Fraction(v) for v in row] for row in x.tolist()]
+    rows = [features[i] for i in absolute_set]
+    rows += [[a - b for a, b in zip(features[i], features[j])] for i, j in selected]
+    lam_q = Fraction(lam)
+    m = len(rows)
+    gram = [[(lam_q if p == q else 0) + sum(a * b for a, b in zip(rows[p], rows[q])) for q in range(m)]
+            for p in range(m)]
+    det = Fraction(1)
+    for c in range(m):
+        det *= gram[c][c]
+        for r in range(c + 1, m):
+            f = gram[r][c] / gram[c][c]
+            gram[r] = [a - f * b for a, b in zip(gram[r], gram[c])]
+
+    def log(q: Fraction) -> float:
+        return math.log(q.numerator) - math.log(q.denominator)
+
+    return log(det) + (x.shape[1] - m) * log(lam_q)
 
 
 class RecordingSearch(greedy.EagerSearch):

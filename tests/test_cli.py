@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,23 @@ def test_select_stdout_when_no_out(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema_version"] == 1
+
+
+def test_select_far_above_n_forms_no_d_by_d_matrix(capsys):
+    # one d x d float64 matrix at d=16,000 takes 2 GB; the engine and the
+    # objective work on the samples' 200-wide row-space coordinates
+    argv = ["select", "--algorithm", "sg", "--synthetic", "n=200,d=16000,n-absolute=10", "--k", "20",
+            "--workers", "1"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 256 * 2**20
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert len(row["selected"]) == 20 and np.isfinite(row["objective"])
 
 
 def test_select_from_csv(tmp_path):

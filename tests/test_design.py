@@ -60,6 +60,25 @@ def test_objective_value_matches_slogdet():
     assert abs(mine - theirs) <= 1e-10
 
 
+@pytest.mark.parametrize("lam", [1e-8, 1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("n,d", [(2, 5), (6, 9), (12, 30)])
+def test_objective_value_at_d_above_n_matches_an_exact_logdet(n, d, lam):
+    # at 2 d >= 3 N the objective is logdet(lambda I_N + B) on the samples'
+    # row-space coordinates plus (d - N) log lambda: within 1e-12 relative
+    # of the exact value at every lambda. The d x d Cholesky logdet it
+    # replaces is not: at lambda 1e-8 its d - N eigenvalues at lambda carry
+    # errors of about 1e-9 relative into the sum
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, d))
+    # every sample labelled: the design spans the row space at every lambda
+    absolute_set = list(range(n))
+    pairs = pair_list(n)
+    selected = [pairs[t] for t in rng.choice(len(pairs), size=min(4, len(pairs)), replace=False)]
+    exact = oracles.objective_exact(x, absolute_set, selected, lam)
+    value = design.objective_value(x, absolute_set, selected, lam)
+    assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
 def test_marginal_gain_matches_logdet_difference():
     x, absolute_set = random_instance(11, n=15, d=5)
     lam = 1e-4

@@ -119,6 +119,54 @@ def test_factor_engine_gains_match_naive(n, d, scale, lam):
             assert gap.max() <= 1e-12, (tag, seed)
 
 
+def _reduction_case(case):
+    """(x, absolute_set, k, lam, pool) of a d > N instance for the row-space tests."""
+    rng = np.random.default_rng(0)
+    n, d, k, lam, pool = 20, 40, 8, LAM, None
+    if case == "n2":
+        n, d, k = 2, 5, 1
+    elif case == "below-rule":
+        d = 29  # 2 d < 3 N: the engines keep X
+    elif case == "at-rule":
+        d = 30
+    elif case.startswith("lambda"):
+        lam = float(case.partition("=")[2])
+    x = rng.normal(size=(n, d))
+    if case == "duplicate-rows":
+        x[[5, 12]] = x[3]
+        x[17] = x[7]
+    elif case == "rank-below-n":
+        x = rng.normal(size=(n, 6)) @ rng.normal(size=(6, d))
+    elif case == "scaled":
+        x *= 1e-6
+    elif case == "list-pool":
+        pool = [e for e in pair_list(n) if rng.random() < 0.3]
+    absolute_set = sorted(rng.choice(n, size=min(5, n), replace=False).tolist())
+    return x, absolute_set, k, lam, pool
+
+
+@pytest.mark.parametrize("case", ["at-rule", "below-rule", "duplicate-rows", "rank-below-n", "n2", "list-pool",
+                                  "scaled", "lambda=1e-08", "lambda=10000.0"])
+def test_engines_on_sample_coordinates_match_their_raw_runs(case, monkeypatch):
+    # above the rule every engine runs on the coordinates R^T of X^T = Q R;
+    # each selects the pairs it selects on X itself, gains within 1e-9.
+    # Below lambda 1e-4 the bound grows as 1/lambda, as A's condition does:
+    # at 1e-8 a gain along a direction that no design row covers is about
+    # |x_e|^2 / lambda, and both paths lose about 7 digits of it (each is
+    # about 1e-7 from a gain computed in exact rationals)
+    x, absolute_set, k, lam, pool = _reduction_case(case)
+    rtol = 1e-9 * max(1.0, 1e-4 / lam)
+    reduced = design.sample_coordinates(x, lam)
+    assert reduced.shape == (len(x), x.shape[1] if case == "below-rule" else min(x.shape))
+    traces = {tag: engine(x, absolute_set, k, lam, pool=pool) for tag, engine in bench.ENGINES.items()}
+    monkeypatch.setattr(greedy, "sample_coordinates", lambda x, lam: x)
+    for tag, engine in bench.ENGINES.items():
+        raw = engine(x, absolute_set, k, lam, pool=pool)
+        assert traces[tag].selected == raw.selected, tag
+        gap = np.abs(np.array(traces[tag].gains) - raw.gains) / np.abs(raw.gains)
+        assert gap.max() <= rtol, (tag, gap.max())
+
+
 @pytest.mark.parametrize("tag", ["fg", "flp", "flm"])
 def test_factor_engines_factor_only_in_preprocessing(tag, monkeypatch):
     # preprocessing factors A once; the picks map samples through the A^-1
@@ -160,6 +208,20 @@ def test_engines_reject_non_finite_features(bad):
             engine(x, absolute_set, 5, LAM)
         with pytest.raises(ValueError, match="feature row 4 is not finite"):
             engine(x, [], 5, LAM, pool=[(0, 1), (2, 3), (5, 6), (7, 8), (9, 10)])
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_engines_check_inputs_before_reducing_a_wide_x(lam, monkeypatch):
+    # at d > N the checks run on X itself, before any QR: the messages name
+    # the caller's lambda and row as they do at d < N
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: pytest.fail("QR ran before the input checks"))
+    x, absolute_set = random_instance(4, n=12, d=30)
+    x[4, 17] = np.nan
+    for tag, engine in bench.ENGINES.items():
+        with pytest.raises(ValueError, match="feature row 4 is not finite"):
+            engine(x, absolute_set, 5, LAM)
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            engine(np.nan_to_num(x), absolute_set, 5, lam)
 
 
 def test_engines_reject_overflowing_features():

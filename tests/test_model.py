@@ -306,7 +306,7 @@ def test_fisher_select_improves_objective():
 
 def test_fisher_select_matches_the_solve_loop():
     # one rank-one score per pick against one solve per candidate, d > N included
-    for n, d in ((12, 3), (30, 6), (20, 30), (60, 10)):
+    for n, d in ((12, 3), (30, 6), (20, 30), (10, 40), (60, 10)):
         universe = pair_list(n)
         for seed in range(10):
             rng = np.random.default_rng(seed)
