@@ -306,8 +306,17 @@ class ScalarOracle(GainOracle):
     oldest row first, from a history of rho rows computed in full per
     selection ("precompute") or entry by entry from the saved v on demand
     ("memoize"). That result depends only on the pair and `it`, not on when
-    the entry was last refreshed, and never exceeds an earlier result, so a
-    stale bound stays an exact upper bound in floating point.
+    the entry was last refreshed or which entries share its block, and
+    never exceeds an earlier result, so a stale bound stays an exact upper
+    bound in floating point.
+
+    A block's (it x m) terms are C-contiguous, and numpy sums pairwise only
+    along the fast axis in memory (`np.sum`, Notes): reduced over axis 0 at
+    m >= 2, they are added row after row, oldest first, for every entry,
+    in one pass that reads each term once. At m = 1 the length-1 axis
+    drops out, axis 0 becomes the fast axis, and the reduction would go
+    pairwise from it = 8 on; a one-entry block takes the prefix sum, which
+    adds strictly in order.
     """
 
     def __init__(self, x, absolute_set, lam, pi, pj, k, memo=None):
@@ -333,8 +342,10 @@ class ScalarOracle(GainOracle):
         rows = self.rho[:it]
         diff = rows.take(i, axis=1) - rows.take(j, axis=1)
         diff *= diff
-        # cumsum adds the rows strictly in order, whatever the block's width
-        return self.gains[b] - diff.cumsum(axis=0)[-1]
+        # oldest row first for every entry: see the class docstring for why
+        # one entry cannot take the reduction
+        total = np.add.reduce(diff, axis=0) if diff.shape[1] > 1 else diff.cumsum(axis=0)[-1]
+        return self.gains[b] - total
 
     def update(self, pair: Pair, it: int) -> None:
         v = linalg.update_vector(self.ainv, comparison_feature(self.x, pair), self.v[:it])

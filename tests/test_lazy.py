@@ -226,6 +226,54 @@ def test_rho_history_lazy_fill_matches_precomputed():
     assert np.all(lzy.rho[2:, 5] == 0.0)
 
 
+def refreshed_oldest_first(oracle, b, it):
+    """The scalar refresh of entries `b` at iteration `it`, term by term:
+    each gain less its history, added oldest row first."""
+    values = []
+    for e in b:
+        i, j = oracle.pi[e], oracle.pj[e]
+        total = 0.0
+        for row in oracle.rho[:it]:
+            delta = row[i] - row[j]
+            total += delta * delta
+        values.append(oracle.gains[e] - total)
+    return np.array(values)
+
+
+def test_scalar_refresh_sums_each_history_oldest_first():
+    # t spans numpy's 8-way unrolled and 128-entry pairwise summation
+    # blocks, which a sum along the fast axis in memory would use; widths
+    # include 1, where the rows of the history are that axis
+    x, absolute_set = random_instance(31, n=30, d=4)
+    pi, pj = design.pair_arrays(30)
+    ts = (1, 2, 7, 8, 9, 127, 128, 129, 300)
+    oracle = greedy.ScalarOracle(x, absolute_set, LAM, pi, pj, max(ts) + 1, "precompute")
+    rng = np.random.default_rng(31)
+    # terms over ten decades, so that a change of order changes the bits;
+    # zero gains return each history's sum itself, with no rounding after it
+    oracle.rho[:] = rng.normal(size=oracle.rho.shape) * 10.0 ** rng.uniform(-5, 5, size=(len(oracle.rho), 1))
+    oracle.gains = np.zeros(len(pi))
+    for width in (1, 2, 3, 9, 300):
+        b = rng.choice(len(pi), size=width, replace=False)
+        for t in ts:
+            values = oracle.refresh(b, t)
+            assert values.tobytes() == refreshed_oldest_first(oracle, b, t).tobytes(), (width, t)
+            one_at_a_time = np.concatenate([oracle.refresh(b[e:e + 1], t) for e in range(width)])
+            assert values.tobytes() == one_at_a_time.tobytes(), (width, t)
+            assert np.all(oracle.refresh(b, t + 1) <= values), (width, t)
+
+
+def test_scalar_lazy_engines_match_eager_past_k_128():
+    # 780 pairs, 200 picks: each refresh sums up to 199 history rows
+    x, absolute_set = random_instance(37, n=40, d=6)
+    reference = bench.ENGINES["ng"](x, absolute_set, 200, LAM)
+    traces = {tag: engine(x, absolute_set, 200, LAM) for tag, engine in LAZY.items()}
+    for tag in ("slp", "slm"):
+        assert traces[tag].selected == reference.selected, tag
+    for tag in ("nl", "flp", "flm", "slm"):
+        assert traces[tag].touch_counts == traces["slp"].touch_counts, tag
+
+
 def test_accepts_tie_rule():
     # a fresh gain at pool index `at` against a stale bound of 2.0 at index 3
     def pending(gain, at):
