@@ -5,7 +5,6 @@ from .design import init_design, objective_value
 from .model import (
     FitResult,
     LabeledData,
-    ModelParams,
     auc,
     entropy_select,
     fisher_select,
@@ -23,7 +22,6 @@ __all__ = [
     "ENGINES",
     "FitResult",
     "LabeledData",
-    "ModelParams",
     "RunConfig",
     "SelectionTrace",
     "auc",

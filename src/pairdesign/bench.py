@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,11 +79,25 @@ class RunConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        _check_design(self)
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
+        if not 0 < self.lam < math.inf:
+            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
+        if self.n is not None and self.n < 1:
+            raise ConfigError(f"synthetic n must be >= 1, got {self.n}")
+        if self.d is not None and self.d < 1:
+            raise ConfigError(f"synthetic d must be >= 1, got {self.d}")
+        if self.n_absolute < 0:
+            raise ConfigError(f"synthetic n-absolute must be >= 0, got {self.n_absolute}")
+        for key, value in (("sigma-x", self.sigma_x), ("sigma-beta", self.sigma_beta), ("c-a", self.c_a)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"synthetic {key} must be positive and finite, got {value}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if self.folds < 1:
             raise ConfigError("folds must be >= 1")
+        if self.instances < 1:
+            raise ConfigError(f"instances must be >= 1, got {self.instances}")
         if not 0 < self.map_lambda < math.inf:
             raise ConfigError(f"map-lambda must be positive and finite, got {self.map_lambda}")
         if self.features_csv is None and self.n is None:
@@ -95,23 +110,6 @@ class RunConfig:
             raise ConfigError("--comparisons is not supported yet: labelled comparisons are not folded into the design")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.fmt!r}")
-
-
-def _check_design(config: RunConfig) -> None:
-    """Checks shared by every command: k, lambda and the synthetic parameters."""
-    if config.k < 1:
-        raise ConfigError("k must be >= 1")
-    if not 0 < config.lam < math.inf:
-        raise ConfigError(f"lambda must be positive and finite, got {config.lam}")
-    if config.n is not None and config.n < 1:
-        raise ConfigError(f"synthetic n must be >= 1, got {config.n}")
-    if config.d is not None and config.d < 1:
-        raise ConfigError(f"synthetic d must be >= 1, got {config.d}")
-    if config.n_absolute < 0:
-        raise ConfigError(f"synthetic n-absolute must be >= 0, got {config.n_absolute}")
-    for key, value in (("sigma-x", config.sigma_x), ("sigma-beta", config.sigma_beta), ("c-a", config.c_a)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"synthetic {key} must be positive and finite, got {value}")
 
 
 def resolve_workers(config: RunConfig) -> int:
@@ -181,24 +179,23 @@ def _select(config, x, absolute_set, absolute_labels, pool, seed) -> SelectionTr
 
     Engines design around `absolute_set`; the entropy and fisher baselines
     fit `absolute_labels`, and the random baseline draws from `seed`.
-    Baselines report no gains or timings.
+    A baseline's trace times its MAP fit as preprocessing (the first fitted
+    call in a process also pays the `scipy.special` import) and its whole
+    selection as one find-max entry; it records no gains.
     """
     if config.algorithm in ENGINES:
         return ENGINES[config.algorithm](x, absolute_set, config.k, config.lam, pool=pool)
+    clock = time.perf_counter
+    start = fitted = clock()
     if config.algorithm == "random":
         selected = model.random_select(x.shape[0], config.k, pool, seed=seed)
     else:
-        fit = model.map_fit(x, LabeledData(absolute=list(absolute_labels)), config.map_lambda)
+        beta = model.map_fit(x, LabeledData(absolute=list(absolute_labels)), config.map_lambda).beta
+        fitted = clock()
         select = model.entropy_select if config.algorithm == "entropy" else model.fisher_select
-        selected = select(x, fit.params.beta, config.k, pool)
-    return SelectionTrace(
-        variant=config.algorithm,
-        selected=selected,
-        gains=[],
-        preprocessing_seconds=0.0,
-        find_max_seconds=[],
-        update_seconds=[],
-    )
+        selected = select(x, beta, config.k, pool)
+    return SelectionTrace(config.algorithm, selected, preprocessing_seconds=fitted - start,
+                          find_max_seconds=[clock() - fitted])
 
 
 def _selection_repeat(args) -> dict:
@@ -227,12 +224,11 @@ def run_selection(config: RunConfig) -> report.Report:
                           "--features dataset draws nothing per repeat; only random does")
     workers = resolve_workers(config)
     rows = _pmap(_selection_repeat, [(config, r) for r in range(config.repeats)], workers)
-    rep = report.Report(
+    return report.Report(
         meta={"command": "select", "config": _config_meta(config)},
         rows=rows,
         aggregates=report.aggregate(rows, ["objective", "total_seconds", "preprocessing_seconds"]),
     )
-    return rep
 
 
 def _config_meta(config: RunConfig) -> dict:
@@ -285,22 +281,16 @@ def verify_equivalence(config: RunConfig) -> tuple[int, report.Report]:
     Exit status 0 when at least 95% of instances agree exactly and every
     mismatch stays within the relative objective tolerance.
     """
-    _check_design(config)
     if not config.single and (config.n is not None or config.d is not None):
         raise ConfigError("--n and --d set the shape of a --single instance; the sweep cycles its own shapes")
-    workers = resolve_workers(config)  # checked also where the instances run inline
     # the report records the first grid shape unless --single sets its own
     n, d = VERIFY_GRID[0]
-    config = replace(config, n=config.n or n, d=config.d or d)
-    if config.single:
-        specs = [(0, config.seed, config.n, config.d, config.k, config.lam, config.n_absolute)]
-    else:
-        if config.instances < 1:
-            raise ConfigError(f"instances must be >= 1, got {config.instances}")
-        specs = []
-        for idx in range(config.instances):
-            n, d = VERIFY_GRID[idx % len(VERIFY_GRID)]
-            specs.append((idx, config.seed + idx, n, d, config.k, config.lam, config.n_absolute))
+    config = replace(config, n=n if config.n is None else config.n, d=d if config.d is None else config.d)
+    config.validate()
+    workers = resolve_workers(config)  # checked also where the instances run inline
+    shapes, count = ([(config.n, config.d)], 1) if config.single else (VERIFY_GRID, config.instances)
+    specs = [(idx, config.seed + idx, *shapes[idx % len(shapes)], config.k, config.lam, config.n_absolute)
+             for idx in range(count)]
     results = _pmap(_verify_instance, specs, workers)
 
     exact_count = sum(1 for r in results if r["exact"])
@@ -366,10 +356,9 @@ def _evaluation_repeat(args) -> list[dict]:
         ).selected
         revealed = labels.comparisons(*np.asarray(selected, dtype=np.intp).T)
         fit = model.map_fit(x, LabeledData(absolute_labels, revealed), config.map_lambda)
-        beta = fit.params.beta
 
         # one product over every sample, so no score depends on which pairs a fold holds
-        scores = x @ beta
+        scores = x @ fit.beta
         ti, tj = _pairs_within(test_idx)
         cmp_labels = labels.comparisons(ti, tj)
         cmp_scores = scores[ti] - scores[tj]
@@ -406,12 +395,11 @@ def run_evaluation(config: RunConfig) -> report.Report:
     workers = resolve_workers(config)
     nested = _pmap(_evaluation_repeat, [(config, r) for r in range(config.repeats)], workers)
     rows = [row for chunk in nested for row in chunk]
-    rep = report.Report(
+    return report.Report(
         meta={"command": "evaluate", "config": _config_meta(config)},
         rows=rows,
         aggregates=report.aggregate(rows, ["auc_comparison", "auc_absolute"]),
     )
-    return rep
 
 
 def run_bench(config: RunConfig, algorithms: list[str]) -> report.Report:
@@ -434,9 +422,8 @@ def run_bench(config: RunConfig, algorithms: list[str]) -> report.Report:
         _selection_repeat((cfg, 0))  # warm-up, discarded
         for repeat in range(config.repeats):
             rows.append(_selection_repeat((cfg, repeat)))
-    rep = report.Report(
+    return report.Report(
         meta={"command": "bench", "config": _config_meta(config), "algorithms": list(algorithms)},
         rows=rows,
         aggregates=report.aggregate(rows, ["total_seconds", "preprocessing_seconds"]),
     )
-    return rep

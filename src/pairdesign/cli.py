@@ -112,6 +112,8 @@ def _build_config(args: argparse.Namespace) -> bench.RunConfig:
     """RunConfig from the parsed flags; a flag left unset keeps the default."""
     fields = {f.name for f in dataclasses.fields(bench.RunConfig)}
     config = bench.RunConfig(**{f: v for f, v in vars(args).items() if f in fields and v is not None})
+    if getattr(args, "single", False) and args.instances is not None:
+        raise ConfigError(f"--instances {args.instances} sizes the sweep; --single verifies one instance")
     if getattr(args, "synthetic", None) is not None:
         if config.features_csv is not None:
             raise ConfigError("--synthetic and --features each give the dataset; give one")

@@ -34,12 +34,6 @@ _FISHER_RIDGE = 1e-6
 
 
 @dataclass
-class ModelParams:
-    beta: np.ndarray
-    lam: float
-
-
-@dataclass
 class LabeledData:
     """Observed labels: (index, label) for absolute, (pair, label) for comparisons."""
 
@@ -49,7 +43,7 @@ class LabeledData:
 
 @dataclass
 class FitResult:
-    params: ModelParams
+    beta: np.ndarray
     final_loss: float
     grad_norm: float
     iterations: int
@@ -163,7 +157,7 @@ def map_fit(
         step *= 2.0
         iterations += 1
     return FitResult(
-        params=ModelParams(beta=beta, lam=lam),
+        beta=beta,
         final_loss=loss,
         grad_norm=grad_norm,
         iterations=iterations,

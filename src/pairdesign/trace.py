@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 Pair = tuple[int, int]
 
@@ -22,10 +22,10 @@ class SelectionTrace:
 
     variant: str
     selected: list[Pair]
-    gains: list[float]
-    preprocessing_seconds: float
-    find_max_seconds: list[float]
-    update_seconds: list[float]
+    gains: list[float] = field(default_factory=list)
+    preprocessing_seconds: float = 0.0
+    find_max_seconds: list[float] = field(default_factory=list)
+    update_seconds: list[float] = field(default_factory=list)
     touch_counts: list[int] | None = None
     memo_counts: list[int] | None = None
 

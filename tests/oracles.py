@@ -158,19 +158,19 @@ def eager_gain_arrays(tag: str, x: np.ndarray, absolute_set, k: int, lam: float,
     return trace, search.gain_arrays
 
 
-def nll_loss(params: model.ModelParams, x: np.ndarray, data: model.LabeledData) -> float:
+def nll_loss(beta: np.ndarray, lam: float, x: np.ndarray, data: model.LabeledData) -> float:
     """Regularized negative log-likelihood of the observed labels, through
     the loss that `model.map_fit` minimises."""
     signed = model._signed_covariates(x, data)
-    loss, _ = model._loss_and_grad(params.beta, signed, params.lam, expit)
+    loss, _ = model._loss_and_grad(beta, signed, lam, expit)
     return loss
 
 
-def nll_gradient(params: model.ModelParams, x: np.ndarray, data: model.LabeledData) -> np.ndarray:
+def nll_gradient(beta: np.ndarray, lam: float, x: np.ndarray, data: model.LabeledData) -> np.ndarray:
     """Analytic gradient of nll_loss with respect to beta, the one that
     `model.map_fit` descends."""
     signed = model._signed_covariates(x, data)
-    _, grad = model._loss_and_grad(params.beta, signed, params.lam, expit)
+    _, grad = model._loss_and_grad(beta, signed, lam, expit)
     return grad
 
 

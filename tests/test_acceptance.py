@@ -257,9 +257,9 @@ def test_criterion_08_map_gradient_check(capsys):
             i, j = sorted(rng.choice(n, 2, replace=False).tolist())
             comparisons.append(((int(i), int(j)), int(rng.choice([-1, 1]))))
         data = model.LabeledData(absolute, comparisons)
-        params = model.ModelParams(rng.normal(scale=0.5, size=d), lam=1e-2)
-        analytic = oracles.nll_gradient(params, x, data)
-        numeric = finite_difference_gradient(params, x, data)
+        beta = rng.normal(scale=0.5, size=d)
+        analytic = oracles.nll_gradient(beta, 1e-2, x, data)
+        numeric = finite_difference_gradient(beta, 1e-2, x, data)
         rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         worst = max(worst, rel)
     passed = worst <= 1e-5

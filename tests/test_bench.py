@@ -38,13 +38,18 @@ def test_make_instance_deterministic():
 
 
 def test_run_selection_engine_and_baseline():
-    for algorithm in ("sg", "entropy", "random"):
+    for algorithm in ("sg", "entropy", "fisher", "random"):
         config = bench.RunConfig(algorithm=algorithm, n=25, d=4, k=6, repeats=2, workers=1)
         rep = bench.run_selection(config)
         assert len(rep.rows) == 2
         for row in rep.rows:
             assert len(row["selected"]) == 6
             assert row["algorithm"] == algorithm
+            # a baseline times its fit as preprocessing and its selection as one find-max entry
+            assert row["total_seconds"] > 0
+            assert len(row["find_max_seconds"]) == (6 if algorithm == "sg" else 1)
+            if algorithm == "random":
+                assert row["preprocessing_seconds"] == 0
         assert "objective_mean" in rep.aggregates
 
 

@@ -144,8 +144,10 @@ def test_csv_format_holds_on_stdout(tmp_path, capsys, argv):
     rows = list(csv.reader(io.StringIO(printed)))
     assert rows[0] == next(csv.reader(io.StringIO(written)))
     assert "selected" in rows[0] and len(rows) == len(written.splitlines()) == 2
-    if argv[0] == "select":  # the random baseline reports no wall times
-        assert printed == written
+    # the two runs differ in their wall-time cells only
+    keep = [c for c, name in enumerate(rows[0]) if "_seconds" not in name]
+    shown, saved = ([[row[c] for c in keep] for row in csv.reader(io.StringIO(text))] for text in (printed, written))
+    assert shown == saved
 
 
 @pytest.mark.parametrize("argv, columns", [
@@ -402,6 +404,11 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
      "--repeats 3"),
     (["select", "--features", "x.csv", "--algorithm", "fisher", "--repeats", "2", "--k", "2", "--workers", "1"], None,
      "--repeats 2"),
+    # --single verifies one instance: a sweep size is rejected, not ignored
+    (_SINGLE + ["--instances", "7"], None, "--instances 7 sizes the sweep; --single"),
+    (_SINGLE + ["--instances", "0"], None, "--instances 0 sizes the sweep; --single"),
+    (_SINGLE + ["--n", "0"], None, "synthetic n must be >= 1"),
+    (_SINGLE + ["--d", "0"], None, "synthetic d must be >= 1"),
 ])
 def test_usage_error_names_the_bad_value(capsys, argv, workers, message):
     if workers is not None:
