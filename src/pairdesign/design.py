@@ -29,8 +29,20 @@ Pair = tuple[int, int]
 
 
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (I, J) for the full pair universe, lexicographic order."""
-    return np.triu_indices(n, k=1)
+    """Index arrays (I, J) for the full pair universe, lexicographic order.
+
+    The values and dtype of `np.triu_indices(n, 1)`, built from the row
+    offsets without its N x N mask: row i holds the n-1-i pairs from flat
+    position start_i on, so the pair at flat position p has
+    J = p + 1 - (start_i - i).
+    """
+    rows = np.arange(n)
+    counts = n - 1 - rows
+    starts = np.cumsum(counts) - counts
+    i = np.repeat(rows, counts)
+    j = np.arange(1, len(i) + 1)
+    j -= np.repeat(starts - rows, counts)
+    return i, j
 
 
 def comparison_feature(x: np.ndarray, e: Pair) -> np.ndarray:

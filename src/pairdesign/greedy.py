@@ -25,8 +25,11 @@ gains that could still win.
 
 Each oracle holds A^-1 as `ainv`, from the A_0^-1 of `design.init_design`.
 The naive and factorization oracles advance it by rank-one downdates only
-and never rebuild or factor it mid-run: the one Cholesky factor of a run is
-taken in preprocessing, so no engine raises `NotPositiveDefinite` after it.
+and never rebuild or factor it mid-run. Every Cholesky factor of a run is
+taken in preprocessing: the one that inverts A_0, and for the six engines
+that read initial gains (`sg nl flp flm slp slm`) a second one,
+`linalg.gram_factor(A_0^-1)` in `GainOracle.initial`. So no engine raises
+`NotPositiveDefinite` after preprocessing.
 The scalar oracles hold A^-1 in product form, A_0^-1 - V^T V: `ainv` stays
 the base inverse A_0^-1 and the update vectors V grow by one row per
 selection.
@@ -144,9 +147,11 @@ def quadratic_gains(x: np.ndarray, pi: np.ndarray, pj: np.ndarray, ainv: np.ndar
     across blocks and its gains straight into the result, so the sweep
     allocates a few blocks' worth of scratch whatever the pool's size.
     A block's rows are gathered into reused scratch as well, unless `rows`
-    gives them, held: x[pi] - x[pj], as `ng` keeps them for a run. Held or
-    gathered, every block of 2 or more rows rounds each gain as one product
-    over the whole pool would, bit for bit.
+    gives them, held: x[pi] - x[pj], as `ng` keeps them for a run. Held and
+    gathered sweeps give the same bits at every width. The blocks need not
+    round as one product over the whole pool would: a block small enough
+    for the BLAS's small-matrix path can round a gain differently from a
+    whole product that is not (OpenBLAS SkylakeX at d=50: 18 of 656 gains).
 
     A pool of one block, such as a lazy refresh's, is one product with no
     scratch to reuse: it skips the blocking's few microseconds of set-up.
@@ -353,8 +358,14 @@ class ScalarOracle(GainOracle):
         if self.memo == "precompute":
             self.rho[it] = self.x @ v
         elif self.memo is None:
+            # (rho_i - rho_j)^2 formed in place in one pool-sized array, one
+            # subtraction and one product per entry: two pool-sized arrays
+            # a pick, at any pool size
             rho = self.x @ v
-            self.gains -= (rho[self.pi] - rho[self.pj]) ** 2
+            t = rho.take(self.pi)
+            t -= rho.take(self.pj)
+            t *= t
+            self.gains -= t
 
     def fill(self, samples: np.ndarray, stop: int) -> None:
         """Fill rho_{l,s} for l < stop and every s in `samples`, computing
@@ -381,13 +392,15 @@ class EagerSearch:
     touch_counts = None
 
     def start(self, oracle) -> None:
-        self.picked = np.zeros(len(oracle.pi), dtype=bool)
+        # pool indices of the pairs picked so far: masking them costs O(K)
+        # per pick, where a pool-sized boolean mask would cost O(|C|)
+        self.picked: list[int] = []
 
     def pick(self, oracle, it: int) -> tuple[int, float]:
         d = oracle.refresh(_ALL, it)
         d[self.picked] = -np.inf
-        best = int(np.argmax(d))
-        self.picked[best] = True
+        best = int(d.argmax())
+        self.picked.append(best)
         return best, float(d[best])
 
 

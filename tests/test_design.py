@@ -35,6 +35,11 @@ def test_pair_arrays():
     pairs = pair_list(9)
     assert len(pairs) == 36
     assert pairs == sorted(pairs)
+    # built from row offsets, with the values and dtype of triu_indices
+    for n in (0, 1, 2, 3, 50, 80):
+        for mine, theirs in zip(design.pair_arrays(n), np.triu_indices(n, 1)):
+            assert mine.dtype == theirs.dtype, n
+            assert np.array_equal(mine, theirs), n
 
 
 def test_pair_arrays_match_nested_loops():

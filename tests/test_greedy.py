@@ -189,6 +189,13 @@ def test_pool_restriction():
     trace = bench.ENGINES["fg"](x, absolute_set, 3, LAM, pool=pool)
     assert set(trace.selected) <= set(pool)
     assert len(trace.selected) == 3
+    # at k equal to the pool's size the eager search masks every earlier
+    # pick up to the last: each pair is selected exactly once
+    small_x, small_absolute = random_instance(9, n=6, d=5)
+    for tag in ("ng", "fg", "sg"):
+        for xs, a, candidates, given in ((small_x, small_absolute, pair_list(6), None), (x, absolute_set, pool, pool)):
+            trace = bench.ENGINES[tag](xs, a, len(candidates), LAM, pool=given)
+            assert sorted(trace.selected) == sorted(candidates), tag
 
 
 def test_k_exceeding_pool_raises():
@@ -310,6 +317,21 @@ def test_blocked_sweep_matches_one_product_bit_for_bit(d):
         held = greedy.quadratic_gains(x, pi, pj, ainv, rows=greedy.difference_rows(x, pi, pj))
         assert gathered.tobytes() == reference.tobytes(), m
         assert held.tobytes() == reference.tobytes(), m
+
+
+@pytest.mark.parametrize("d, m", [(50, 656), (60, 547)])
+def test_held_and_gathered_sweeps_match_bit_for_bit(d, m):
+    # two blocks that fall under OpenBLAS's small-matrix path where one
+    # product over the whole pool does not: the blocks may round a gain
+    # differently from that product, but held and gathered rows agree
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(60, d))
+    ainv = np.linalg.inv(random_spd(rng, d))
+    assert len(greedy._blocks(m, d)) == 2
+    pi, pj = rng.integers(0, 60, size=(2, m))
+    gathered = greedy.quadratic_gains(x, pi, pj, ainv)
+    held = greedy.quadratic_gains(x, pi, pj, ainv, rows=greedy.difference_rows(x, pi, pj))
+    assert held.tobytes() == gathered.tobytes()
 
 
 @pytest.mark.parametrize("held", [False, True])
