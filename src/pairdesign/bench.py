@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class RunConfig:
             raise ConfigError("k must be >= 1")
         if not 0 < self.lam < math.inf:
             raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n is not None and self.n < 1:
             raise ConfigError(f"synthetic n must be >= 1, got {self.n}")
         if self.d is not None and self.d < 1:
@@ -154,26 +156,6 @@ def _load_csv_instance(config: RunConfig):
     return x, absolute_set, data
 
 
-def _trace_row(repeat: int, seed, trace: SelectionTrace, objective: float) -> dict:
-    row = {
-        "repeat": repeat,
-        "seed": list(seed) if isinstance(seed, tuple) else seed,
-        "algorithm": trace.variant,
-        "selected": [list(e) for e in trace.selected],
-        "gains": trace.gains,
-        "objective": objective,
-        "preprocessing_seconds": trace.preprocessing_seconds,
-        "find_max_seconds": trace.find_max_seconds,
-        "update_seconds": trace.update_seconds,
-        "total_seconds": trace.total_seconds,
-    }
-    if trace.touch_counts is not None:
-        row["touch_counts"] = trace.touch_counts
-    if trace.memo_counts is not None:
-        row["memo_counts"] = trace.memo_counts
-    return row
-
-
 def _select(config, x, absolute_set, absolute_labels, pool, seed) -> SelectionTrace:
     """Run `config.algorithm` for `config.k` pairs of `pool` (see `greedy.resolve_pool`).
 
@@ -213,7 +195,8 @@ def _selection_repeat(args) -> dict:
         absolute_labels = labels.absolute(absolute_set) if fitted else []
     trace = _select(config, x, absolute_set, absolute_labels, None, (*seed, 7))
     objective = objective_value(x, absolute_set, trace.selected, config.lam)
-    return _trace_row(repeat, seed, trace, objective)
+    row = {key: value for key, value in asdict(trace).items() if value is not None}
+    return {**row, "total_seconds": trace.total_seconds, "repeat": repeat, "seed": list(seed), "objective": objective}
 
 
 def run_selection(config: RunConfig) -> report.Report:

@@ -55,8 +55,12 @@ def comparison_feature(x: np.ndarray, e: Pair) -> np.ndarray:
 
 
 def design_matrix(x: np.ndarray, absolute_set, selected, lam: float) -> np.ndarray:
-    """Assemble lambda*I + sum of absolute and comparison outer products."""
-    d = x.shape[1]
+    """Assemble lambda*I + sum of absolute and comparison outer products.
+    Raises ValueError naming the first absolute index not an integer in 0..N-1."""
+    n, d = x.shape
+    for i in absolute_set:
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < n):
+            raise ValueError(f"absolute index {i} is not an integer in 0..{n - 1}")
     m = lam * np.eye(d)
     if len(absolute_set) > 0:
         xa = x[np.asarray(list(absolute_set), dtype=np.intp)]

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-Pair = tuple[int, int]
+from .design import Pair
 
 
 @dataclass
 class SelectionTrace:
-    """Output of one engine run.
+    """Output of one engine or baseline run, and the fields of its report row.
 
     `gains` holds each pick's d_e; the pick raises the objective by
     log(1 + d_e). Phase timings follow the complexity breakdown of the engines:
@@ -17,11 +17,11 @@ class SelectionTrace:
     per-iteration update. Lazy engines additionally record in `touch_counts`
     how many stale entries they refreshed per iteration, over all refresh
     blocks, and the memoized modes in `memo_counts` how many scratch entries
-    they actually computed.
+    they actually computed; both are None, and left out of the row, elsewhere.
     """
 
-    variant: str
-    selected: list[Pair]
+    algorithm: str
+    selected: list[Pair] = field(default_factory=list)
     gains: list[float] = field(default_factory=list)
     preprocessing_seconds: float = 0.0
     find_max_seconds: list[float] = field(default_factory=list)

@@ -160,6 +160,27 @@ def test_engines_reject_malformed_pools(tag):
     with pytest.raises(InvalidPool):
         select(4, [(4, 11), (0, 1), (2, 3)])
     assert select(2, [(4, 11), (0, 1), (2, 3)])[0] in {(0, 1), (2, 3), (4, 11)}
+    # a negative k is rejected as one above the pool is; k=0 selects nothing
+    for pool in (None, [(0, 1), (2, 3)]):
+        with pytest.raises(InvalidPool, match="k=-1 is below 0"):
+            select(-1, pool)
+        assert select(0, pool) == []
+
+
+# a row holds the trace's fields, those that are set, and the run's
+_ROW_KEYS = {"algorithm", "selected", "gains", "objective", "repeat", "seed", "preprocessing_seconds",
+             "find_max_seconds", "update_seconds", "total_seconds"}
+
+
+@pytest.mark.parametrize("algorithm, extra", [
+    ("sg", set()),
+    ("slm", {"touch_counts", "memo_counts"}),
+    ("random", set()),
+])
+def test_select_row_keys(algorithm, extra):
+    config = bench.RunConfig(algorithm=algorithm, n=12, d=3, k=4, workers=1)
+    (row,) = bench.run_selection(config).rows
+    assert set(row) == _ROW_KEYS | extra
 
 
 def test_array_and_list_pools_select_alike():

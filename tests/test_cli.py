@@ -409,6 +409,9 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
     (_SINGLE + ["--instances", "0"], None, "--instances 0 sizes the sweep; --single"),
     (_SINGLE + ["--n", "0"], None, "synthetic n must be >= 1"),
     (_SINGLE + ["--d", "0"], None, "synthetic d must be >= 1"),
+    (_SELECT + ["--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (_SINGLE + ["--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (_EVALUATE + ["--seed", "-3"], None, "seed must be >= 0, got -3"),
 ])
 def test_usage_error_names_the_bad_value(capsys, argv, workers, message):
     if workers is not None:

@@ -144,6 +144,18 @@ def test_init_design_rejects_nonfinite_lambda():
             design.init_design(x, absolute_set, lam)
 
 
+@pytest.mark.parametrize("bad", [-1, 6, 1.5, np.int64(-2)])
+def test_absolute_indices_must_be_samples(bad):
+    x, absolute_set = random_instance(5, n=6, d=3)
+    message = f"absolute index {bad} is not an integer in 0..5"
+    with pytest.raises(ValueError, match=message):
+        design.init_design(x, [*absolute_set, bad], 1e-4)
+    with pytest.raises(ValueError, match=message):
+        design.objective_value(x, [bad, *absolute_set], [(0, 1)], 1e-4)
+    # numpy integers are sample indices too
+    design.init_design(x, np.asarray(absolute_set), 1e-4)
+
+
 def test_brute_force_matches_independent_enumeration():
     x, absolute_set = random_instance(13, n=6, d=3)
     lam = 1e-4

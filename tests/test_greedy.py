@@ -231,6 +231,14 @@ def test_engines_check_inputs_before_reducing_a_wide_x(lam, monkeypatch):
             engine(np.nan_to_num(x), absolute_set, 5, lam)
 
 
+@pytest.mark.parametrize("bad", [-1, 12, 1.5, np.float64(2.0)])
+def test_engines_reject_an_absolute_index_outside_the_samples(bad):
+    x, absolute_set = random_instance(4, n=12, d=3)
+    for tag, engine in bench.ENGINES.items():
+        with pytest.raises(ValueError, match=f"absolute index {bad} is not an integer in 0..11"):
+            engine(x, [*absolute_set, bad], 5, LAM)
+
+
 def test_engines_reject_overflowing_features():
     # a finite but huge feature overflows 1 + x^T A^-1 x: every engine
     # raises instead of returning NaN gains or failing inside its search
