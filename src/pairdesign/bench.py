@@ -79,29 +79,16 @@ class RunConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if not 0 < self.lam < math.inf:
-            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.n is not None and self.n < 1:
-            raise ConfigError(f"synthetic n must be >= 1, got {self.n}")
-        if self.d is not None and self.d < 1:
-            raise ConfigError(f"synthetic d must be >= 1, got {self.d}")
-        if self.n_absolute < 0:
-            raise ConfigError(f"synthetic n-absolute must be >= 0, got {self.n_absolute}")
-        for key, value in (("sigma-x", self.sigma_x), ("sigma-beta", self.sigma_beta), ("c-a", self.c_a)):
+        bounds = (("k", self.k, 1), ("seed", self.seed, 0), ("synthetic n", self.n, 1), ("synthetic d", self.d, 1),
+                  ("synthetic n-absolute", self.n_absolute, 0), ("repeats", self.repeats, 1), ("folds", self.folds, 1),
+                  ("instances", self.instances, 1))
+        for name, value, least in bounds:
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        for name, value in (("lambda", self.lam), ("map-lambda", self.map_lambda), ("synthetic sigma-x", self.sigma_x),
+                            ("synthetic sigma-beta", self.sigma_beta), ("synthetic c-a", self.c_a)):
             if not 0 < value < math.inf:
-                raise ConfigError(f"synthetic {key} must be positive and finite, got {value}")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
-        if self.folds < 1:
-            raise ConfigError("folds must be >= 1")
-        if self.instances < 1:
-            raise ConfigError(f"instances must be >= 1, got {self.instances}")
-        if not 0 < self.map_lambda < math.inf:
-            raise ConfigError(f"map-lambda must be positive and finite, got {self.map_lambda}")
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.features_csv is None and self.n is None:
             raise ConfigError("either synthetic parameters (n, d) or --features are required")
         if self.features_csv is None and (self.n is None or self.d is None):

@@ -26,6 +26,7 @@ import numpy as np
 from . import linalg
 
 Pair = tuple[int, int]
+_INTEGER = (int, np.integer)
 
 
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,12 +47,13 @@ def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def comparison_feature(x: np.ndarray, e: Pair) -> np.ndarray:
-    """Difference feature x_i - x_j of a comparison pair."""
+    """Difference feature x_i - x_j of a comparison pair (i, j): integers with
+    0 <= i < j < N, the rule `greedy.resolve_pool` applies to a pool.
+    Raises IndexError naming any other pair."""
     i, j = e
-    n = x.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"pair {e} out of range for {n} samples")
-    return x[i] - x[j]
+    if not (isinstance(i, _INTEGER) and isinstance(j, _INTEGER) and 0 <= i < j < x.shape[0]):
+        raise IndexError(f"pair ({i}, {j}) is not (i, j) with 0 <= i < j < {x.shape[0]}")
+    return x[int(i)] - x[int(j)]
 
 
 def design_matrix(x: np.ndarray, absolute_set, selected, lam: float) -> np.ndarray:
@@ -59,7 +61,7 @@ def design_matrix(x: np.ndarray, absolute_set, selected, lam: float) -> np.ndarr
     Raises ValueError naming the first absolute index not an integer in 0..N-1."""
     n, d = x.shape
     for i in absolute_set:
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < n):
+        if not (isinstance(i, _INTEGER) and 0 <= i < n):
             raise ValueError(f"absolute index {i} is not an integer in 0..{n - 1}")
     m = lam * np.eye(d)
     if len(absolute_set) > 0:

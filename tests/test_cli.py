@@ -412,6 +412,10 @@ _EVALUATE = ["evaluate", "--synthetic", "n=20,d=3", "--algorithm", "random", "--
     (_SELECT + ["--seed", "-1"], None, "seed must be >= 0, got -1"),
     (_SINGLE + ["--seed", "-1"], None, "seed must be >= 0, got -1"),
     (_EVALUATE + ["--seed", "-3"], None, "seed must be >= 0, got -3"),
+    # every bound's message ends with the value it rejects
+    (_SELECT + ["--k", "0"], None, "k must be >= 1, got 0"),
+    (_SELECT + ["--repeats", "0"], None, "repeats must be >= 1, got 0"),
+    (_EVALUATE[:-4] + ["--folds", "0", "--workers", "1"], None, "folds must be >= 1, got 0"),
 ])
 def test_usage_error_names_the_bad_value(capsys, argv, workers, message):
     if workers is not None:

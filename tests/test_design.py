@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -50,6 +51,24 @@ def test_comparison_feature():
     assert np.array_equal(design.comparison_feature(ORACLE_X, (0, 1)), [0.5, 3.0])
     with pytest.raises(IndexError):
         design.comparison_feature(ORACLE_X, (0, 4))
+
+
+@pytest.mark.parametrize("pair", [(2, 2), (1.5, 2), (-1, 2), (0, 4), (3, 1)])
+def test_a_selected_pair_outside_the_pool_rule_is_named(pair):
+    # the rule of `greedy.resolve_pool`: integers with 0 <= i < j < N (N = 4)
+    message = re.escape(f"pair {pair} is not (i, j) with 0 <= i < j < 4")
+    with pytest.raises(IndexError, match=message):
+        design.objective_value(ORACLE_X, [0], [(0, 1), pair], 0.1)
+    with pytest.raises(IndexError, match=message):
+        design.design_matrix(ORACLE_X, [0], [pair], 0.1)
+
+
+def test_an_integer_array_selection_gives_the_pair_list_objective():
+    listed = design.objective_value(ORACLE_X, [0], [(0, 1), (2, 3)], 0.1)
+    for dtype in (np.int64, np.int32, np.intp):
+        selected = np.array([[0, 1], [2, 3]], dtype=dtype)
+        assert design.objective_value(ORACLE_X, [0], selected, 0.1).hex() == listed.hex(), dtype
+    assert abs(listed - ORACLE_LOGDET) <= 1e-12
 
 
 def test_objective_value_oracle():

@@ -308,7 +308,9 @@ def test_block_refreshes_hold_no_rows():
 
 
 @pytest.mark.parametrize("d", [2, 10, 48, 96, 128])
-def test_blocked_sweep_matches_one_product_bit_for_bit(d):
+def test_blocked_sweep_matches_one_product_to_rounding(d):
+    # blocks need not round as one product does (on some BLAS kernels they
+    # differ in the last bits), but held and gathered rows give the same bits
     rng = np.random.default_rng(d)
     x = rng.normal(size=(60, d))
     ainv = np.linalg.inv(random_spd(rng, d))
@@ -323,8 +325,8 @@ def test_blocked_sweep_matches_one_product_bit_for_bit(d):
         reference = np.einsum("ed,ed->e", diff @ ainv, diff)
         gathered = greedy.quadratic_gains(x, pi, pj, ainv)
         held = greedy.quadratic_gains(x, pi, pj, ainv, rows=greedy.difference_rows(x, pi, pj))
-        assert gathered.tobytes() == reference.tobytes(), m
-        assert held.tobytes() == reference.tobytes(), m
+        np.testing.assert_allclose(gathered, reference, rtol=1e-14, atol=0, err_msg=str(m))
+        assert held.tobytes() == gathered.tobytes(), m
 
 
 @pytest.mark.parametrize("d, m", [(50, 656), (60, 547)])
