@@ -53,6 +53,7 @@ def comparison_feature(x: np.ndarray, e: Pair) -> np.ndarray:
     i, j = e
     if not (isinstance(i, _INTEGER) and isinstance(j, _INTEGER) and 0 <= i < j < x.shape[0]):
         raise IndexError(f"pair ({i}, {j}) is not (i, j) with 0 <= i < j < {x.shape[0]}")
+    # int(): a bool is an integer, but x[True] adds an axis instead of taking row 1
     return x[int(i)] - x[int(j)]
 
 
