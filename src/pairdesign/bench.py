@@ -148,8 +148,7 @@ def _select(config, x, absolute_set, absolute_labels, pool, seed) -> SelectionTr
 
     Engines design around `absolute_set`; the entropy and fisher baselines
     fit `absolute_labels`, and the random baseline draws from `seed`.
-    A baseline's trace times its MAP fit as preprocessing (the first fitted
-    call in a process also pays the `scipy.special` import) and its whole
+    A baseline's trace times its MAP fit as preprocessing and its whole
     selection as one find-max entry; it records no gains.
     """
     if config.algorithm in ENGINES:
@@ -177,9 +176,7 @@ def _selection_repeat(args) -> dict:
         x, absolute_set, labels = make_instance(
             seed, config.n, config.d, config.sigma_x, config.sigma_beta, config.c_a, config.n_absolute
         )
-        # only the baselines that fit a model read labels, so only they load scipy
-        fitted = config.algorithm in ("entropy", "fisher")
-        absolute_labels = labels.absolute(absolute_set) if fitted else []
+        absolute_labels = labels.absolute(absolute_set)
     trace = _select(config, x, absolute_set, absolute_labels, None, (*seed, 7))
     objective = objective_value(x, absolute_set, trace.selected, config.lam)
     row = {key: value for key, value in asdict(trace).items() if value is not None}

@@ -13,9 +13,11 @@ selection cost O(N d + |C|) time and memory over a pool C, never |C| x d
 difference rows. So does the Fisher baseline, whose quadratic forms are
 taken over the N samples in Gram form, as `fg` takes its gains.
 
-scipy.special (`expit`, `xlogy`) is imported by the functions that use it,
-at their first call, so importing pairdesign or running a design engine
-loads no scipy module.
+Everything here runs on numpy alone. `expit` is the sigmoid of the label
+draws and the baselines; the MAP loss takes its sigmoid from the softplus
+that it already sums. numpy's exp and log may round the last bit otherwise
+than the C library's, so `expit` may differ from scipy.special.expit by a
+few ulp, each being within 2 ulp of the exact sigmoid.
 """
 
 from __future__ import annotations
@@ -31,6 +33,27 @@ from .errors import DegenerateLabelSet, DivergentFit
 from .greedy import factorization_gains, resolve_pool
 
 _FISHER_RIDGE = 1e-6
+
+
+def expit(x) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)), formed in place in one new array.
+
+    Below x = -709.78, exp(-x) overflows to inf and the result is exactly 0,
+    as scipy.special.expit gives; that overflow is expected, so it is silenced.
+    """
+    out = np.negative(x, out=np.empty(np.shape(x)))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p, with its limit 0 at p = 0."""
+    out = np.zeros_like(p)
+    np.log(p, out=out, where=p > 0)
+    out *= p
+    return out
 
 
 @dataclass
@@ -85,16 +108,12 @@ class SyntheticLabels:
         self._u_cmp = None
 
     def absolute(self, indices) -> list[tuple[int, int]]:
-        from scipy.special import expit
-
         idx = np.asarray(list(indices), dtype=np.intp)
         p = expit(self._x[idx] @ (self._beta / self._c_a))
         return [(int(i), 1 if self._u_abs[i] < pi else -1) for i, pi in zip(idx, p)]
 
     def comparisons(self, i: np.ndarray, j: np.ndarray) -> list[tuple[Pair, int]]:
         """Labels of the pairs (i[e], j[e]), each with i[e] < j[e]."""
-        from scipy.special import expit
-
         n = self._x.shape[0]
         if self._u_cmp is None:
             self._u_cmp = self._rng.random(n * (n - 1) // 2)
@@ -112,10 +131,13 @@ def _signed_covariates(x: np.ndarray, data: LabeledData) -> np.ndarray:
     return np.concatenate([ya[:, None] * x[ia], yc[:, None] * (x[ci] - x[cj])])
 
 
-def _loss_and_grad(beta: np.ndarray, signed: np.ndarray, lam: float, expit):
-    margins = signed @ beta
-    loss = lam * float(beta @ beta) + float(np.sum(np.logaddexp(0.0, -margins)))
-    grad = 2.0 * lam * beta - signed.T @ expit(-margins)
+def _loss_and_grad(beta: np.ndarray, signed: np.ndarray, lam: float):
+    neg_margins = -(signed @ beta)
+    softplus = np.logaddexp(0.0, neg_margins)
+    loss = lam * float(beta @ beta) + float(softplus.sum())
+    # sigmoid(-m) = exp(-m - softplus(-m)), from the softplus the loss sums
+    sigmoid = np.exp(np.subtract(neg_margins, softplus, out=neg_margins), out=neg_margins)
+    grad = 2.0 * lam * beta - signed.T @ sigmoid
     return loss, grad
 
 
@@ -134,26 +156,25 @@ def map_fit(
     """
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
-    from scipy.special import expit
-
     signed = _signed_covariates(x, data)
     beta = np.zeros(x.shape[1])
-    loss, grad = _loss_and_grad(beta, signed, lam, expit)
+    loss, grad = _loss_and_grad(beta, signed, lam)
     step = 1.0
     iterations = 0
-    grad_norm = float(np.linalg.norm(grad))
+    # np.linalg.norm's own formula for a vector, without its call overhead
+    grad_norm = math.sqrt(grad.dot(grad))
     while iterations < max_iter and grad_norm > tol:
         # Armijo backtracking; the step carries over and is allowed to grow.
         while True:
             cand = beta - step * grad
-            cand_loss, cand_grad = _loss_and_grad(cand, signed, lam, expit)
+            cand_loss, cand_grad = _loss_and_grad(cand, signed, lam)
             if cand_loss <= loss - 1e-4 * step * grad_norm**2 or step < 1e-20:
                 break
             step *= 0.5
         if not math.isfinite(cand_loss):
             raise DivergentFit(f"MAP fit loss reached {cand_loss} at iteration {iterations + 1}")
         beta, loss, grad = cand, cand_loss, cand_grad
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(grad.dot(grad))
         step *= 2.0
         iterations += 1
     return FitResult(
@@ -192,12 +213,10 @@ def entropy_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pa
     The pool is read by `greedy.resolve_pool`. The entropy objective is modular, so the greedy optimum is an exact
     top-k sort; ties resolve to lexicographically smaller pairs.
     """
-    from scipy.special import expit, xlogy
-
     i, j = resolve_pool(x.shape[0], pool, k)
     scores = x @ beta_hat
     p = expit(scores[i] - scores[j])
-    entropy = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
+    entropy = -(_xlogx(p) + _xlogx(1.0 - p))
     # the pool is in lexicographic order, so a stable sort breaks ties by pair
     order = np.argsort(-entropy, kind="stable")
     return _pairs(i, j, order[:k])
@@ -214,8 +233,6 @@ def fisher_select(x: np.ndarray, beta_hat: np.ndarray, k: int, pool) -> list[Pai
     Off the row space of X, B and I_p are both the ridge, so the forms run on
     the engines' `design.sample_coordinates`, with the same values.
     """
-    from scipy.special import expit
-
     i, j = resolve_pool(len(x), pool, k)
     s = x @ beta_hat
     w = expit(s[i] - s[j]) * expit(s[j] - s[i])

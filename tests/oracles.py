@@ -162,7 +162,7 @@ def nll_loss(beta: np.ndarray, lam: float, x: np.ndarray, data: model.LabeledDat
     """Regularized negative log-likelihood of the observed labels, through
     the loss that `model.map_fit` minimises."""
     signed = model._signed_covariates(x, data)
-    loss, _ = model._loss_and_grad(beta, signed, lam, expit)
+    loss, _ = model._loss_and_grad(beta, signed, lam)
     return loss
 
 
@@ -170,7 +170,7 @@ def nll_gradient(beta: np.ndarray, lam: float, x: np.ndarray, data: model.Labele
     """Analytic gradient of nll_loss with respect to beta, the one that
     `model.map_fit` descends."""
     signed = model._signed_covariates(x, data)
-    _, grad = model._loss_and_grad(beta, signed, lam, expit)
+    _, grad = model._loss_and_grad(beta, signed, lam)
     return grad
 
 

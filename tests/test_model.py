@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,63 @@ def test_loss_decomposition():
         expected += float(np.logaddexp(0.0, -y * (beta @ (x[i] - x[j]))))
     got = oracles.nll_loss(beta, 1e-2, x, data)
     assert abs(got - expected) <= 1e-12
+
+
+def test_loss_keeps_its_bits_and_the_gradient_matches_scipy_expit():
+    # the loss is the softplus sum, unchanged; the gradient's sigmoid(-m) is
+    # exp(-m - softplus(-m)), within 3.7e-15 relative of scipy's for |m| <= 700,
+    # so each gradient entry is within 1e-14 of the sum of its terms' magnitudes
+    lam = 1e-2
+    for seed in range(10):
+        x, data = make_labeled(seed, n=40, d=6, n_abs=10, n_cmp=60)
+        signed = model._signed_covariates(x, data)
+        beta = np.random.default_rng(seed + 100).normal(size=6) * 10.0 ** (seed % 3)
+        loss, grad = model._loss_and_grad(beta, signed, lam)
+        margins = signed @ beta
+        assert loss == lam * float(beta @ beta) + float(np.sum(np.logaddexp(0.0, -margins)))
+        sigmoid = expit(-margins)
+        reference = 2.0 * lam * beta - signed.T @ sigmoid
+        magnitude = 2.0 * lam * np.abs(beta) + np.abs(signed).T @ sigmoid
+        assert np.all(np.abs(grad - reference) <= 1e-14 * magnitude), seed
+
+
+def test_expit_is_within_4_ulp_of_scipy():
+    # both compute 1 / (1 + exp(-x)): a faithful exp (under 1 ulp), then the
+    # sum and the quotient (half an ulp each), and 1 + e passes on at most e's
+    # relative error, so each is within 2 ulp of the exact sigmoid
+    rng = np.random.default_rng(0)
+    grid = np.concatenate([rng.normal(scale=scale, size=2000) for scale in (1.0, 10.0, 100.0, 300.0)]
+                          + [np.linspace(-750.0, 750.0, 30001), [745.0, -745.0, 800.0, -800.0, 0.0, -0.0]])
+    ours, reference = model.expit(grid), expit(grid)
+    assert np.all(np.abs(ours - reference) <= 4 * np.spacing(reference))
+
+
+def test_expit_saturates_exactly_and_quietly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.expit(np.array([-800.0, 800.0, 0.0, -0.0])).tolist() == [0.0, 1.0, 0.5, 0.5]
+
+
+def test_entropy_term_is_zero_at_certain_labels():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model._xlogx(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
+        # margins of -800 and -1600 make every label certain
+        x = np.array([[0.0], [800.0], [1600.0]])
+        assert model.entropy_select(x, np.ones(1), 2, None) == [(0, 1), (0, 2)]
+
+
+def test_label_model_raises_no_warning_at_saturated_margins():
+    # scores reach the thousands, so sigmoids saturate at 0 and 1 and the
+    # softplus underflows, all silently, as scipy's expit does
+    x, beta = model.sample_synthetic(30, 4, sigma_beta=300.0, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = model.SyntheticLabels(x, beta, 1.2, seed=6)
+        data = model.LabeledData(labels.absolute(range(30)), labels.comparisons(*np.triu_indices(30, k=1)))
+        model.map_fit(x, data, 1e-2, max_iter=50)
+        model.entropy_select(x, beta, 5, None)
+        model.fisher_select(x, beta, 5, None)
 
 
 def test_map_fit_converges_and_minimizes():
@@ -217,14 +275,43 @@ _NUMPY_ONLY_RUNS = {
     "select": "assert cli.main(['select', '--synthetic', 'n=12,d=4', '--algorithm', 'sg', '--k', '3', '--out', os.devnull]) == 0",
     "bench": "assert cli.main(['bench', '--algorithms', 'sg,slm', '--synthetic', 'n=12,d=4', '--k', '3', '--out', os.devnull]) == 0",
     "verify": "assert cli.main(['verify', '--single', '--n', '12', '--d', '4', '--k', '3', '--out', os.devnull]) == 0",
+    "evaluate": (
+        "assert cli.main(['evaluate', '--synthetic', 'n=20,d=4', '--algorithm', 'sg', '--k', '3',\n"
+        "                 '--folds', '2', '--repeats', '1', '--out', os.devnull]) == 0"
+    ),
+    **{f"select-{name}": (
+        f"assert cli.main(['select', '--synthetic', 'n=12,d=4', '--algorithm', '{name}', '--k', '3', "
+        "'--out', os.devnull]) == 0"
+    ) for name in ("entropy", "fisher", "random")},
+    "map_fit": (
+        "from pairdesign import model\n"
+        "x, beta = model.sample_synthetic(12, 4, seed=0)\n"
+        "labels = model.SyntheticLabels(x, beta, 1.2, seed=1)\n"
+        "data = model.LabeledData(labels.absolute(range(12)), labels.comparisons(*np.triu_indices(12, k=1)))\n"
+        "assert np.isfinite(model.map_fit(x, data, 1e-2).beta).all()"
+    ),
 }
+
+# Installed first in each run: any import of scipy raises, so a run that
+# needs scipy fails instead of loading it.
+_REFUSE_SCIPY = """\
+import sys
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition('.')[0] == 'scipy':
+            raise ImportError(f'{name} is refused: a run needs numpy alone')
+        return None
+sys.meta_path.insert(0, RefuseScipy())
+"""
 
 
 @pytest.mark.parametrize("run", sorted(_NUMPY_ONLY_RUNS))
 def test_engine_path_loads_no_scipy(run):
-    # scipy is kept for label draws and model fits; designing pairs needs numpy alone
+    # every command, engines and baselines alike, runs on numpy alone
     code = (
+        _REFUSE_SCIPY +
         "import os, sys\n"
+        "import numpy as np\n"
         "from pairdesign import bench, cli\n"
         f"{_NUMPY_ONLY_RUNS[run]}\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent.futures.process'))))"
@@ -280,7 +367,6 @@ def test_entropy_select_memory_is_linear_in_the_pool():
     # margins are s_i - s_j from one score per sample, never |C| x d difference rows
     x, _ = random_instance(3, n=400, d=64)
     beta = np.random.default_rng(3).normal(size=64)
-    model.entropy_select(x, beta, 5, None)  # first call imports scipy.special
     tracemalloc.start()
     try:
         model.entropy_select(x, beta, 5, None)
@@ -339,7 +425,6 @@ def test_fisher_select_memory_is_linear_in_the_pool():
     # rows (512 bytes a pair at d=64)
     x, _ = random_instance(3, n=400, d=64)
     beta = np.random.default_rng(3).normal(size=64)
-    model.fisher_select(x, beta, 2, None)  # first call imports scipy.special
     tracemalloc.start()
     try:
         model.fisher_select(x, beta, 2, None)
