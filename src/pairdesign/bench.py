@@ -209,9 +209,20 @@ def _config_meta(config: RunConfig) -> dict:
 def _verify_instance(args) -> dict:
     index, seed, n, d, k, lam, n_absolute = args
     x, absolute_set, _ = make_instance(seed, n, d, n_absolute=n_absolute)
-    reference = ENGINES["ng"](x, absolute_set, k, lam).selected
+    selections = {tag: engine(x, absolute_set, k, lam).selected for tag, engine in ENGINES.items()}
+    reference = selections.pop("ng")
     f_ref = objective_value(x, absolute_set, reference, lam)
-    result = {
+    variants = {}
+    for tag, selected in selections.items():
+        entry = {"exact": selected == reference}
+        if not entry["exact"]:
+            f_var = objective_value(x, absolute_set, selected, lam)
+            entry["selected"] = [list(e) for e in selected]
+            entry["objective"] = f_var
+            entry["objective_gap"] = abs(f_var - f_ref)
+            entry["within_tolerance"] = entry["objective_gap"] <= EQUIVALENCE_RTOL * abs(f_ref)
+        variants[tag] = entry
+    return {
         "instance": index,
         "seed": seed,
         "n": n,
@@ -219,27 +230,10 @@ def _verify_instance(args) -> dict:
         "k": k,
         "selected_ng": [list(e) for e in reference],
         "objective_ng": f_ref,
-        "variants": {},
-        "exact": True,
-        "within_tolerance": True,
+        "variants": variants,
+        "exact": all(entry["exact"] for entry in variants.values()),
+        "within_tolerance": all(entry.get("within_tolerance", True) for entry in variants.values()),
     }
-    for tag, engine in ENGINES.items():
-        if tag == "ng":
-            continue
-        selected = engine(x, absolute_set, k, lam).selected
-        exact = selected == reference
-        entry = {"exact": exact}
-        if not exact:
-            f_var = objective_value(x, absolute_set, selected, lam)
-            entry["selected"] = [list(e) for e in selected]
-            entry["objective"] = f_var
-            entry["objective_gap"] = abs(f_var - f_ref)
-            within = abs(f_var - f_ref) <= EQUIVALENCE_RTOL * abs(f_ref)
-            entry["within_tolerance"] = within
-            result["exact"] = False
-            result["within_tolerance"] = result["within_tolerance"] and within
-        result["variants"][tag] = entry
-    return result
 
 
 def verify_equivalence(config: RunConfig) -> tuple[int, report.Report]:
@@ -373,7 +367,8 @@ def run_bench(config: RunConfig, algorithms: list[str]) -> report.Report:
     """Timing harness: one discarded warm-up run, then timed repeats.
 
     The calls run one at a time in this process, so a worker count is
-    rejected rather than ignored.
+    rejected rather than ignored. The aggregates are keyed by engine tag,
+    each over that engine's rows only.
     """
     config.validate()
     if config.workers is not None:
@@ -392,5 +387,6 @@ def run_bench(config: RunConfig, algorithms: list[str]) -> report.Report:
     return report.Report(
         meta={"command": "bench", "config": _config_meta(config), "algorithms": list(algorithms)},
         rows=rows,
-        aggregates=report.aggregate(rows, ["total_seconds", "preprocessing_seconds"]),
+        aggregates={tag: report.aggregate([row for row in rows if row["algorithm"] == tag],
+                                          ["total_seconds", "preprocessing_seconds"]) for tag in algorithms},
     )

@@ -122,13 +122,6 @@ def _build_config(args: argparse.Namespace) -> bench.RunConfig:
     return config
 
 
-def _emit(rep: report.Report, config: bench.RunConfig) -> None:
-    if config.out:
-        report.emit_report(rep, config.fmt, config.out)
-    else:
-        sys.stdout.write(report.render_report(rep, config.fmt))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -151,7 +144,7 @@ def _run(args: argparse.Namespace) -> int:
         config = _build_config(args)
         if args.command == "verify":
             status, rep = bench.verify_equivalence(config)
-            _emit(rep, config)
+            report.emit_report(rep, config.fmt, config.out)
             print(f"verify: {'PASS' if status == 0 else 'FAIL'} "
                   f"({rep.aggregates['exact']}/{rep.aggregates['instances']} exact) "
                   f"hash={rep.content_hash()}", file=sys.stderr)
@@ -163,12 +156,9 @@ def _run(args: argparse.Namespace) -> int:
         else:  # bench
             tags = [t.strip() for t in args.algorithms.split(",") if t.strip()]
             rep = bench.run_bench(config, tags)
-        _emit(rep, config)
+        report.emit_report(rep, config.fmt, config.out)
         return EXIT_OK
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

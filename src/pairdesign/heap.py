@@ -45,10 +45,6 @@ class LazyHeap:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def size(self) -> int:
-        return len(self._items)
-
     def peek(self) -> HeapEntry:
         if not self._items:
             raise EmptyHeap("peek on empty heap")

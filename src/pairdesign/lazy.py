@@ -34,9 +34,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StaleStampCorruption
-# Not used here; per-layer tracing (perfbench/spans.py) patches these names
-# on this module as well, so they must stay resolvable.
-from .greedy import factorization_gains, init_design  # noqa: F401
+# Of these, only `_min` is used here; per-layer tracing (perfbench/spans.py)
+# patches the other two on this module as well, so they must stay resolvable.
+from .greedy import _min, factorization_gains, init_design  # noqa: F401
 from .heap import LazyHeap  # noqa: F401
 
 # Fewest entries a refresh block takes.
@@ -44,9 +44,8 @@ _MIN_BLOCK = 16
 
 # The reductions a refresh round makes, called as ufunc methods rather than
 # through numpy's Python-level wrappers, which cost more than the reduction
-# itself on a block of a few dozen entries.
+# itself on a block of a few dozen entries (`_min` is greedy's).
 _max = np.maximum.reduce
-_min = np.minimum.reduce
 
 
 def _checked_stamps(stamp: np.ndarray, b: np.ndarray, it: int) -> None:

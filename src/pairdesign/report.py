@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,8 +158,11 @@ def render_report(report: Report, fmt: str) -> str:
 
 
 def emit_report(report: Report, fmt: str, path) -> None:
-    """Write a report to `path` as `render_report` renders it."""
+    """Write a report to `path` as `render_report` renders it, or to stdout if `path` is empty."""
     text = render_report(report, fmt)
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

@@ -311,7 +311,7 @@ def test_criterion_10_heap_correctness(capsys):
             agree = agree and heap.replace_top(e) == oracle.replace_top(e)
     while len(oracle):
         agree = agree and heap.extract_max() == oracle.extract_max()
-    agree = agree and heap.size == 0
+    agree = agree and len(heap) == 0
     announce(capsys, 10, "heap correctness", agree, f"{ops} operations")
     assert agree
 

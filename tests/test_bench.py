@@ -83,6 +83,17 @@ def test_verify_detects_corrupted_engine(monkeypatch):
     assert status == 1
     assert rep.aggregates["failures"]
     assert "sg" in rep.aggregates["failures"][0]["variants"]
+    # the row's flags come from its variants; only the mismatch carries its selection
+    row = rep.rows[0]
+    entry = row["variants"]["sg"]
+    assert row["exact"] is False
+    assert row["within_tolerance"] == entry["within_tolerance"]
+    assert set(entry) == {"exact", "selected", "objective", "objective_gap", "within_tolerance"}
+    assert entry["exact"] is False
+    assert entry["objective_gap"] == abs(entry["objective"] - row["objective_ng"])
+    others = {tag: e for tag, e in row["variants"].items() if tag != "sg"}
+    assert sorted(others) == sorted(set(bench.ENGINES) - {"ng", "sg"})
+    assert all(e == {"exact": True} for e in others.values())
 
 
 def test_verify_rejects_bad_lambda():
@@ -124,6 +135,12 @@ def test_run_bench_warms_up_and_reports():
     rep = bench.run_bench(config, ["fg", "sg"])
     assert len(rep.rows) == 4
     assert {row["algorithm"] for row in rep.rows} == {"fg", "sg"}
+    # the timing aggregates are keyed by engine, each over that engine's rows only
+    assert sorted(rep.aggregates) == ["fg", "sg"]
+    for tag in ("fg", "sg"):
+        own = [row for row in rep.rows if row["algorithm"] == tag]
+        assert rep.aggregates[tag]["total_seconds_mean"] == np.mean([row["total_seconds"] for row in own])
+        assert rep.aggregates[tag]["preprocessing_seconds_mean"] == np.mean([row["preprocessing_seconds"] for row in own])
     with pytest.raises(ConfigError):
         bench.run_bench(config, ["entropy"])
 

@@ -66,7 +66,7 @@ def test_replace_top_equivalent_to_extract_insert():
     assert old == entry(7.0, (0, 3))
     assert heap.is_valid()
     assert heap.peek() == entry(4.0, (0, 1))
-    assert heap.size == 4
+    assert len(heap) == 4
 
 
 def test_empty_heap_errors():
@@ -98,7 +98,7 @@ def _random_ops(seed, n_ops):
             e = entry(float(rng.integers(0, 8)), (counter % 50, 50 + counter))
             counter += 1
             assert heap.replace_top(e) == oracle.replace_top(e)
-        assert heap.size == len(oracle)
+        assert len(heap) == len(oracle)
     assert heap.is_valid()
     while len(oracle):
         assert heap.extract_max() == oracle.extract_max()

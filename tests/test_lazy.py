@@ -39,7 +39,7 @@ def heap_search(tag, x, absolute_set, k, pool=None):
             gain = oracle.refresh(np.array([index[entry.pair]]), it)
             fresh = HeapEntry(float(gain[0]), it, entry.pair)
             count += 1
-            if heap.size == 0 or beats(fresh, heap.peek()):
+            if len(heap) == 0 or beats(fresh, heap.peek()):
                 entry = fresh
                 break
             entry = heap.replace_top(fresh)

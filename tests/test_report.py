@@ -69,7 +69,7 @@ def test_aggregate():
     assert "u_mean" not in agg and "missing_mean" not in agg
 
 
-def test_emit_json_round_trip(tmp_path):
+def test_emit_json_round_trip(tmp_path, capsys):
     rep = report.Report(meta={"seed": 1}, rows=[{"gain": 0.25}], aggregates={"gain_mean": 0.25})
     path = tmp_path / "out.json"
     report.emit_report(rep, "json", path)
@@ -81,9 +81,13 @@ def test_emit_json_round_trip(tmp_path):
     first = path.read_bytes()
     report.emit_report(rep, "json", path)
     assert path.read_bytes() == first
+    # with no path, the same text goes to stdout
+    for empty in ("", None):
+        report.emit_report(rep, "json", empty)
+        assert capsys.readouterr().out == path.read_text()
 
 
-def test_emit_csv(tmp_path):
+def test_emit_csv(tmp_path, capsys):
     rep = report.Report(rows=[{"a": 1, "b": [1.5, 2.5]}, {"a": 2}, {"a": 3, "b": None}])
     path = tmp_path / "out.csv"
     report.emit_report(rep, "csv", path)
@@ -92,6 +96,9 @@ def test_emit_csv(tmp_path):
     assert lines[1] == "1,1.5;2.5"
     assert lines[2] == "2,"
     assert lines[3] == "3,"
+    for empty in ("", None):
+        report.emit_report(rep, "csv", empty)
+        assert capsys.readouterr().out == path.read_text()
 
 
 def test_emit_unknown_format(tmp_path):
